@@ -17,13 +17,7 @@ from typing import Optional
 
 from intervalcast.domain import ReleaseDate, Season
 from intervalcast.errorsets import ErrorMethod
-from intervalcast.ingest import (
-    ForecastPanel,
-    SchemaMismatchError,
-    DuplicateRecordError,
-    parse_forecast_panel,
-    parse_quarterly,
-)
+from intervalcast.ingest import ForecastPanel, parse_forecast_panel, parse_quarterly
 from intervalcast.pipeline import (
     RunConfig,
     load_config,
@@ -217,7 +211,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaMismatchError, DuplicateRecordError, ValueError) as exc:
+    except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,11 +9,15 @@ window shifts back so the set always holds exactly R errors.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from intervalcast.domain import Horizon, ReleaseDate, TargetId
+
+# ``typing.Callable`` would cache these subscriptions and so keep every
+# imported ``TargetId`` class alive across re-imports of the package.
 
 # Realization selector: value of (target, year) observable at the given
 # release date, or None if no admissible vintage exists yet.
@@ -100,14 +104,15 @@ def build_error_set(
     A year is eligible when a forecast at ``horizon`` exists for it and its
     realization is observable at ``origin``. Ineligible years inside the
     window are substituted by the next older eligible year and recorded in
-    ``skipped_years``.
+    ``skipped_years``. Years not yet ended at ``origin`` are never eligible
+    and are not substitutions.
     """
     if window < 1:
         raise ValueError("window length must be positive")
     errors: list[float] = []
     source_years: list[int] = []
     skipped: list[int] = []
-    year = min(anchor_year, origin.year + 1) - 1
+    year = min(anchor_year, origin.year) - 1
     floor = year - max_lookback
     while len(errors) < window and year > floor:
         realized = truths(target, year, origin)
@@ -115,8 +120,6 @@ def build_error_set(
         if realized is not None:
             forecast = forecasts(target, horizon.origin_for(year), year)
         if realized is None or forecast is None:
-            # Only count as a substitution once the window has plausibly
-            # started, i.e. the year is a genuine gap rather than pre-history.
             skipped.append(year)
         else:
             errors.append(forecast_error(realized, forecast, method))
@@ -129,7 +132,6 @@ def build_error_set(
             found=len(errors),
             required=window,
         )
-    oldest = source_years[-1]
     return ErrorSet(
         target=target,
         horizon=horizon,
@@ -137,5 +139,5 @@ def build_error_set(
         method=method,
         errors=tuple(errors),
         source_years=tuple(source_years),
-        skipped_years=tuple(y for y in skipped if y > oldest),
+        skipped_years=tuple(skipped),
     )

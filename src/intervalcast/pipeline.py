@@ -15,8 +15,8 @@ import io
 import json
 import csv
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterable, Optional, Sequence
 
 from intervalcast.benchmark import (
     InsufficientQuarterlyHistoryError,
@@ -36,7 +36,10 @@ from intervalcast.domain import (
 )
 from intervalcast.errorsets import (
     ErrorMethod,
+    ErrorSet,
+    ForecastLookup,
     InsufficientHistoryError,
+    TruthSelector,
     build_error_set,
 )
 from intervalcast.ingest import (
@@ -62,9 +65,6 @@ from intervalcast.scoring import (
     interval_score,
     weighted_interval_score,
 )
-
-ForecastLookup = Callable[[TargetId, ReleaseDate, int], Optional[float]]
-TruthSelector = Callable[[TargetId, int, ReleaseDate], Optional[float]]
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,9 @@ def load_config(path: Optional[str] = None, **overrides: object) -> RunConfig:
         with open(path, encoding="utf-8") as fh:
             raw.update(json.load(fh))
     raw.update({k: v for k, v in overrides.items() if v is not None})
+    unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     kwargs: dict[str, object] = {}
     for key, value in raw.items():
         if key == "levels":
@@ -182,9 +185,68 @@ def fresh_horizons(origin: ReleaseDate) -> tuple[Horizon, ...]:
     return (Horizon.SPRING_CURRENT, Horizon.SPRING_NEXT)
 
 
+class ErrorHistory:
+    """Error sets of one forecast source, each built once.
+
+    Each (target, horizon, anchor year, origin, error method) set is built at
+    ``max_window``, the longest window any caller asks for; a shorter window w
+    is served as its first w entries, exactly what ``build_error_set(...,
+    window=w)`` returns. A set infeasible at ``max_window`` raises
+    ``InsufficientHistoryError`` for every window. Construction truths are
+    memoized per (target, year, origin).
+    """
+
+    def __init__(self, forecasts: ForecastLookup, truths: TruthSelector, max_window: int) -> None:
+        self.forecasts = forecasts
+        self.max_window = max_window
+        self._truth_source = truths
+        self._truths: dict[tuple[TargetId, int, ReleaseDate], Optional[float]] = {}
+        self._sets: dict[tuple, ErrorSet | InsufficientHistoryError] = {}
+
+    def _truth(self, target: TargetId, year: int, as_of: ReleaseDate) -> Optional[float]:
+        key = (target, year, as_of)
+        if key not in self._truths:
+            self._truths[key] = self._truth_source(target, year, as_of)
+        return self._truths[key]
+
+    def error_set(
+        self,
+        target: TargetId,
+        horizon: Horizon,
+        anchor_year: int,
+        origin: ReleaseDate,
+        method: ErrorMethod,
+        window: int,
+    ) -> ErrorSet:
+        if not 1 <= window <= self.max_window:
+            raise ValueError(f"window length must be in 1..{self.max_window}, got {window}")
+        key = (target, horizon, anchor_year, origin, method)
+        full = self._sets.get(key)
+        if full is None:
+            try:
+                full = build_error_set(
+                    self.forecasts, self._truth, target, horizon,
+                    anchor_year=anchor_year, origin=origin,
+                    window=self.max_window, method=method,
+                )
+            except InsufficientHistoryError as exc:
+                full = exc
+            self._sets[key] = full
+        if isinstance(full, InsufficientHistoryError):
+            raise full.with_traceback(None)
+        if window == self.max_window:
+            return full
+        oldest = full.source_years[window - 1]
+        return replace(
+            full,
+            errors=full.errors[:window],
+            source_years=full.source_years[:window],
+            skipped_years=tuple(y for y in full.skipped_years if y > oldest),
+        )
+
+
 def build_grid(
-    forecasts: ForecastLookup,
-    truths: TruthSelector,
+    history: ErrorHistory,
     target: TargetId,
     origin: ReleaseDate,
     config: RunConfig,
@@ -194,7 +256,7 @@ def build_grid(
     gaps: list[str] = []
     for horizon in HORIZONS:
         forecast_origin, target_year = outstanding_cells(origin)[horizon]
-        point = forecasts(target, forecast_origin, target_year)
+        point = history.forecasts(target, forecast_origin, target_year)
         if point is None:
             gaps.append(
                 f"{target.country}/{target.variable} {origin}: no {horizon.label} "
@@ -202,15 +264,8 @@ def build_grid(
             )
             continue
         try:
-            errs = build_error_set(
-                forecasts,
-                truths,
-                target,
-                horizon,
-                anchor_year=target_year,
-                origin=origin,
-                window=config.window,
-                method=config.error_method,
+            errs = history.error_set(
+                target, horizon, target_year, origin, config.error_method, config.window
             )
         except InsufficientHistoryError as exc:
             gaps.append(f"{target.country}/{target.variable} {origin} {horizon.label}: {exc}")
@@ -230,10 +285,6 @@ def build_grid(
         return None, gaps
     grid = IntervalGrid(target=target, origin=origin, cells=cells)
     return enforce_horizon_monotonicity(grid), gaps
-
-
-def _panel_lookup(panel: ForecastPanel) -> ForecastLookup:
-    return panel.forecast
 
 
 def _ar_lookup(
@@ -282,7 +333,7 @@ def _method_data(
     out: list[MethodData] = []
     for label in config.methods:
         if label == "imf":
-            out.append(MethodData(label, _panel_lookup(panel), panel_truths))
+            out.append(MethodData(label, panel.forecast, panel_truths))
         elif label == "ar":
             if quarterly is None:
                 raise ValueError("method 'ar' requires quarterly data")
@@ -292,7 +343,7 @@ def _method_data(
         elif label == "external":
             if external is None:
                 raise ValueError("method 'external' requires an external forecast file")
-            out.append(MethodData(label, _panel_lookup(external), panel_truths))
+            out.append(MethodData(label, external.forecast, panel_truths))
     return out
 
 
@@ -346,10 +397,11 @@ def run_backtest(
     ]
     for method in _method_data(config, panel, quarterly, external):
         for target in _targets(panel):
+            # Sets and truths are keyed by target, so a provider per target
+            # loses no reuse and holds one target's sets at a time.
+            history = ErrorHistory(method.forecasts, method.error_truths, config.window)
             for origin in origins:
-                grid, grid_gaps = build_grid(
-                    method.forecasts, method.error_truths, target, origin, config
-                )
+                grid, grid_gaps = build_grid(history, target, origin, config)
                 gaps.extend(grid_gaps)
                 if grid is None:
                     continue
@@ -512,7 +564,8 @@ def run_tuning(
 
     The panel is restricted so that no hold-out forecasts or vintages are
     visible. Within each (variable, horizon), scored years start once every
-    requested window length is feasible, keeping cells comparable.
+    requested window length is feasible, keeping cells comparable; since
+    feasibility is monotone in the window, that is feasibility at the largest.
     """
     if not grid:
         raise ValueError("tuning grid must be nonempty")
@@ -523,57 +576,46 @@ def run_tuning(
         key: value for key, value in view.forecasts.items() if key[1].year <= t1
     }
     truths = PanelTruthSelector(view, config.truth_rule, mode="construction")
-    all_windows = sorted({w for w, _, _ in grid})
-    report = TuningReport(levels=config.levels)
+    history = ErrorHistory(view.forecast, truths, max(w for w, _, _ in grid))
     targets = _targets(view)
     variables = sorted({t.variable for t in targets})
+    # Scorable (target, year, point, outcome) per (variable, horizon) cell.
+    scorable: dict[tuple[str, Horizon], list[tuple[TargetId, int, float, float]]] = {
+        (variable, horizon): [] for variable in variables for horizon in HORIZONS
+    }
+    for target in targets:
+        for year in range(t0, t1 + 1):
+            try:
+                outcome = select_truth(
+                    view, target, year, cutoff, config.truth_rule, mode="evaluation"
+                )
+            except TruthUnavailableError:
+                continue
+            for horizon in HORIZONS:
+                point = view.forecast(target, horizon.origin_for(year), year)
+                if point is not None:
+                    scorable[(target.variable, horizon)].append((target, year, point, outcome))
+    report = TuningReport(levels=config.levels)
     for window, emethod, qmethod in grid:
         for variable in variables:
             for horizon in HORIZONS:
                 observations: list[tuple[dict[float, object], float]] = []
-                feasible_any = False
-                for target in (t for t in targets if t.variable == variable):
-                    for year in range(t0, t1 + 1):
-                        forecast_origin = horizon.origin_for(year)
-                        point = view.forecast(target, forecast_origin, year)
-                        if point is None:
-                            continue
-                        try:
-                            outcome = select_truth(
-                                view, target, year, cutoff, config.truth_rule,
-                                mode="evaluation",
-                            )
-                        except TruthUnavailableError:
-                            continue
-                        # Comparable cells: skip years where the largest
-                        # requested window is not yet feasible.
-                        try:
-                            for w in all_windows:
-                                build_error_set(
-                                    view.forecast, truths, target, horizon,
-                                    anchor_year=year, origin=forecast_origin,
-                                    window=w, method=emethod,
-                                )
-                        except InsufficientHistoryError:
-                            continue
-                        errs = build_error_set(
-                            view.forecast, truths, target, horizon,
-                            anchor_year=year, origin=forecast_origin,
-                            window=window, method=emethod,
+                for target, year, point, outcome in scorable[(variable, horizon)]:
+                    try:
+                        errs = history.error_set(
+                            target, horizon, year, horizon.origin_for(year), emethod, window
                         )
-                        feasible_any = True
-                        intervals = {
-                            tau: interval_from_offsets(
-                                point, tau, offsets_for(errs, tau, qmethod)
-                            )
-                            for tau in config.levels
-                        }
-                        observations.append((intervals, outcome))
-                row = _tuning_row(
-                    window, emethod, qmethod, variable, horizon,
-                    observations, config.levels, feasible_any,
+                    except InsufficientHistoryError:
+                        continue
+                    intervals = {
+                        tau: interval_from_offsets(point, tau, offsets_for(errs, tau, qmethod))
+                        for tau in config.levels
+                    }
+                    observations.append((intervals, outcome))
+                report.rows.append(
+                    _tuning_row(window, emethod, qmethod, variable, horizon,
+                                observations, config.levels)
                 )
-                report.rows.append(row)
     return report
 
 
@@ -585,7 +627,6 @@ def _tuning_row(
     horizon: Horizon,
     observations: list[tuple[dict[float, object], float]],
     levels: tuple[float, ...],
-    feasible: bool,
 ) -> TuningRow:
     if not observations:
         return TuningRow(
@@ -607,7 +648,7 @@ def _tuning_row(
         window=window, error_method=emethod.value, quantile_method=qmethod.value,
         variable=variable, horizon=horizon.label,
         mean_wis=sum(wis_values) / len(wis_values),
-        coverage=coverage, n=len(observations), feasible=feasible,
+        coverage=coverage, n=len(observations), feasible=True,
     )
 
 
@@ -637,9 +678,8 @@ def produce_forecast(
     gaps: list[str] = []
     for method in _method_data(config, panel, quarterly, external):
         for target in _targets(panel):
-            grid, grid_gaps = build_grid(
-                method.forecasts, method.error_truths, target, origin, config
-            )
+            history = ErrorHistory(method.forecasts, method.error_truths, config.window)
+            grid, grid_gaps = build_grid(history, target, origin, config)
             gaps.extend(grid_gaps)
             if grid is None:
                 continue

@@ -116,3 +116,32 @@ class TestReport:
         lines = text.strip().splitlines()
         assert lines[0] == "country,variable,horizon,method,mean_wis,n"
         assert any(line.startswith("AAA,gdp,") for line in lines[1:])
+
+
+class TestBadInput:
+    def _assert_one_line_error(self, capsys, *fragments):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for fragment in fragments:
+            assert fragment in err
+
+    def test_missing_data_file_exits_one(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        code = main(["backtest", "--data", missing, "--out", str(tmp_path / "out")])
+        assert code == 1
+        self._assert_one_line_error(capsys, "missing.csv")
+
+    def test_unknown_config_key_exits_one(self, panel_path, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"window": 8, "windw": 9}))
+        code = main(["backtest", "--config", str(config), "--data", panel_path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        self._assert_one_line_error(capsys, "unknown config key", "windw")
+
+    def test_malformed_audit_exits_one(self, tmp_path, capsys):
+        audit = tmp_path / "audit.json"
+        audit.write_text(json.dumps([{"country": "AAA", "wis": 1.0}]))
+        code = main(["report", "--audit", str(audit)])
+        assert code == 1
+        self._assert_one_line_error(capsys, "variable")

@@ -114,3 +114,15 @@ def test_missing_year_substitution_is_recorded():
     assert 2018 in errs.skipped_years
     assert len(errs) == 11
     assert min(errs.source_years) == 2011  # one older year substitutes
+
+
+def test_unfinished_year_is_not_a_substitution():
+    # At a spring-2012 origin, 2012 has not ended: it was never observable,
+    # so the window starting at 2011 substitutes nothing.
+    panel = make_panel(first_year=1990, last_year=2023)
+    errs = build_error_set(
+        panel.forecast, selector(panel), TARGET, Horizon.SPRING_NEXT,
+        anchor_year=2013, origin=ReleaseDate(2012, Season.SPRING), window=11,
+    )
+    assert errs.source_years == tuple(range(2011, 2000, -1))
+    assert errs.skipped_years == ()

@@ -8,6 +8,7 @@ from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, Season, TargetId
 from intervalcast.errorsets import ErrorMethod
 from intervalcast.ingest import ForecastPanel, PanelTruthSelector
 from intervalcast.pipeline import (
+    ErrorHistory,
     RunConfig,
     build_grid,
     fresh_horizons,
@@ -78,6 +79,10 @@ class TestConfig:
         assert config.levels == (0.5, 0.8)
         assert config.methods == ("imf",)
 
+    def test_load_config_rejects_unknown_keys_by_name(self):
+        with pytest.raises(ValueError, match="unknown config key.*quantile, windw"):
+            load_config(None, windw=9, quantile="type1")
+
 
 class TestGridLayout:
     def test_fall_origin_cells(self):
@@ -113,9 +118,8 @@ class TestBuildGrid:
     def test_full_grid(self, small_panel):
         config = RunConfig()
         truths = PanelTruthSelector(small_panel)
-        grid, gaps = build_grid(
-            small_panel.forecast, truths, TARGET, ReleaseDate(2020, Season.FALL), config
-        )
+        history = ErrorHistory(small_panel.forecast, truths, config.window)
+        grid, gaps = build_grid(history, TARGET, ReleaseDate(2020, Season.FALL), config)
         assert gaps == []
         assert grid.horizons == HORIZONS
         for tau in config.levels:
@@ -126,18 +130,16 @@ class TestBuildGrid:
         del small_panel.forecasts[(TARGET, ReleaseDate(2020, Season.SPRING), 2021)]
         config = RunConfig()
         truths = PanelTruthSelector(small_panel)
-        grid, gaps = build_grid(
-            small_panel.forecast, truths, TARGET, ReleaseDate(2020, Season.FALL), config
-        )
+        history = ErrorHistory(small_panel.forecast, truths, config.window)
+        grid, gaps = build_grid(history, TARGET, ReleaseDate(2020, Season.FALL), config)
         assert Horizon.SPRING_NEXT not in grid.cells
         assert len(gaps) == 1 and "spring-next" in gaps[0]
 
     def test_insufficient_history_becomes_gap(self, small_panel):
         config = RunConfig(train_span=(1980, 1992), holdout_span=(1993, 1996))
         truths = PanelTruthSelector(small_panel)
-        grid, gaps = build_grid(
-            small_panel.forecast, truths, TARGET, ReleaseDate(1993, Season.FALL), config
-        )
+        history = ErrorHistory(small_panel.forecast, truths, config.window)
+        grid, gaps = build_grid(history, TARGET, ReleaseDate(1993, Season.FALL), config)
         assert grid is None
         assert gaps
 
