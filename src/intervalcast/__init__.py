@@ -17,9 +17,8 @@ from intervalcast.intervals import (
     IntervalOffsets,
     PredictionInterval,
     enforce_horizon_monotonicity,
-    interval_absolute,
-    interval_directional,
 )
+from intervalcast.ingest import parse_forecast_panel
 from intervalcast.scoring import (
     ScoreDecomposition,
     WisWeights,
@@ -27,6 +26,7 @@ from intervalcast.scoring import (
     interval_score,
     weighted_interval_score,
 )
+from intervalcast.pipeline import RunConfig, produce_forecast, run_backtest, run_tuning
 
 __all__ = [
     "G7",
@@ -46,11 +46,14 @@ __all__ = [
     "IntervalOffsets",
     "PredictionInterval",
     "enforce_horizon_monotonicity",
-    "interval_absolute",
-    "interval_directional",
+    "parse_forecast_panel",
     "ScoreDecomposition",
     "WisWeights",
     "coverage_rate",
     "interval_score",
     "weighted_interval_score",
+    "RunConfig",
+    "produce_forecast",
+    "run_backtest",
+    "run_tuning",
 ]

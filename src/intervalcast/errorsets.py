@@ -9,7 +9,7 @@ window shifts back so the set always holds exactly R errors.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -88,9 +88,22 @@ class ErrorSet:
         return len(self.errors)
 
 
+class YearRow(dict[int, Optional[float]]):
+    """``year -> value`` of one series, each year computed by ``fill`` on its
+    first subscription (``row[year]``); None marks a year without a value."""
+
+    def __init__(self, fill: Callable[[int], Optional[float]]) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, year: int) -> Optional[float]:
+        value = self[year] = self.fill(year)
+        return value
+
+
 def build_error_set(
-    forecasts: ForecastLookup,
-    truths: TruthSelector,
+    points: Mapping[int, Optional[float]],
+    truths: Mapping[int, Optional[float]],
     target: TargetId,
     horizon: Horizon,
     anchor_year: int,
@@ -101,9 +114,12 @@ def build_error_set(
 ) -> ErrorSet:
     """Collect the ``window`` most recent eligible errors before ``anchor_year``.
 
-    A year is eligible when a forecast at ``horizon`` exists for it and its
-    realization is observable at ``origin``. Ineligible years inside the
-    window are substituted by the next older eligible year and recorded in
+    ``points[year]`` is the forecast for ``year`` at ``horizon`` and
+    ``truths[year]`` its realization observable at ``origin``, None when
+    absent; both are read by subscription, so a ``YearRow`` fills them on
+    demand. A point is read only for a year whose truth is present. A year is
+    eligible when both are present. Ineligible years inside the window are
+    substituted by the next older eligible year and recorded in
     ``skipped_years``. Years not yet ended at ``origin`` are never eligible
     and are not substitutions.
     """
@@ -115,10 +131,8 @@ def build_error_set(
     year = min(anchor_year, origin.year) - 1
     floor = year - max_lookback
     while len(errors) < window and year > floor:
-        realized = truths(target, year, origin)
-        forecast = None
-        if realized is not None:
-            forecast = forecasts(target, horizon.origin_for(year), year)
+        realized = truths[year]
+        forecast = None if realized is None else points[year]
         if realized is None or forecast is None:
             skipped.append(year)
         else:

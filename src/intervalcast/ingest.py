@@ -128,9 +128,6 @@ class ForecastPanel:
             self.__dict__["_index_size"] = len(self.realizations)
         return self.__dict__["_index"]
 
-    def target_years(self, target: TargetId) -> list[int]:
-        return sorted({y for (t, _, y) in self.forecasts if t == target})
-
     def countries(self) -> list[str]:
         return sorted({t.country for (t, _, _) in self.forecasts})
 
@@ -281,14 +278,20 @@ def select_truth(
     """
     if mode not in ("evaluation", "construction"):
         raise ValueError(f"unknown truth mode {mode!r}")
+    # The fall release after the target year, once dated at or before
+    # ``as_of``, is the truth whatever else is out; read it directly.
+    if target_year + 1 < as_of.year or (
+        target_year + 1 == as_of.year and as_of.season is Season.FALL
+    ):
+        fall_after = ReleaseDate(target_year + 1, Season.FALL)
+        settled = panel.realizations.get((target, target_year, fall_after))
+        if settled is not None:
+            return settled
     available = {v: val for v, val in panel.vintages_for(target, target_year) if v <= as_of}
     if not available:
         raise TruthUnavailableError(
             f"truth unavailable for {target.country}/{target.variable} {target_year} as of {as_of}"
         )
-    fall_after = ReleaseDate(target_year + 1, Season.FALL)
-    if fall_after in available:
-        return available[fall_after]
     if mode == "construction":
         spring_after = ReleaseDate(target_year + 1, Season.SPRING)
         if target_year == as_of.year - 1 and spring_after in available:

@@ -11,15 +11,13 @@ quantile crossing is introduced.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, TargetId
 from intervalcast.errorsets import ErrorMethod, ErrorSet
-from intervalcast.quantile import QuantileMethod, empirical_quantile
-
-
-class ErrorMethodMismatch(ValueError):
-    pass
+# ``empirical_quantile`` is re-exported for callers that look the
+# single-level reader up here (the benchmark's per-layer tracer does).
+from intervalcast.quantile import QuantileMethod, empirical_quantile, empirical_quantiles  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -32,10 +30,6 @@ class IntervalOffsets:
     def __post_init__(self) -> None:
         if self.lower > self.upper:
             raise ValueError(f"lower offset {self.lower} exceeds upper {self.upper}")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 @dataclass(frozen=True)
@@ -59,33 +53,26 @@ class PredictionInterval:
         return self.lower <= outcome <= self.upper
 
 
-def offsets_absolute(
-    errs: ErrorSet, tau: float, method: QuantileMethod = QuantileMethod.LINEAR
-) -> IntervalOffsets:
-    """Symmetric offsets +-q_tau of the absolute errors."""
-    if errs.method is not ErrorMethod.ABSOLUTE:
-        raise ErrorMethodMismatch("error-method mismatch: absolute error set required")
-    q = empirical_quantile(errs.errors, tau, method)
-    return IntervalOffsets(lower=-q, upper=q)
-
-
-def offsets_directional(
-    errs: ErrorSet, tau: float, method: QuantileMethod = QuantileMethod.LINEAR
-) -> IntervalOffsets:
-    """Asymmetric offsets from the (1-tau)/2 and (1+tau)/2 error quantiles."""
-    if errs.method is not ErrorMethod.DIRECTIONAL:
-        raise ErrorMethodMismatch("error-method mismatch: directional error set required")
-    lo = empirical_quantile(errs.errors, (1.0 - tau) / 2.0, method)
-    up = empirical_quantile(errs.errors, (1.0 + tau) / 2.0, method)
-    return IntervalOffsets(lower=lo, upper=up)
-
-
 def offsets_for(
-    errs: ErrorSet, tau: float, method: QuantileMethod = QuantileMethod.LINEAR
-) -> IntervalOffsets:
+    errs: ErrorSet,
+    levels: Sequence[float],
+    method: QuantileMethod = QuantileMethod.LINEAR,
+) -> dict[float, IntervalOffsets]:
+    """Offsets at every level of ``levels``, read from one sorted copy of the
+    error window.
+
+    Absolute errors give symmetric offsets +-q_tau; directional errors give
+    the (1-tau)/2 and (1+tau)/2 quantiles of the signed errors.
+    """
     if errs.method is ErrorMethod.ABSOLUTE:
-        return offsets_absolute(errs, tau, method)
-    return offsets_directional(errs, tau, method)
+        qs = empirical_quantiles(errs.errors, levels, method)
+        return {tau: IntervalOffsets(lower=-q, upper=q) for tau, q in zip(levels, qs)}
+    taus = [t for tau in levels for t in ((1.0 - tau) / 2.0, (1.0 + tau) / 2.0)]
+    qs = empirical_quantiles(errs.errors, taus, method)
+    return {
+        tau: IntervalOffsets(lower=qs[2 * i], upper=qs[2 * i + 1])
+        for i, tau in enumerate(levels)
+    }
 
 
 def interval_from_offsets(point: float, tau: float, offs: IntervalOffsets) -> PredictionInterval:
@@ -99,27 +86,6 @@ def interval_from_offsets(point: float, tau: float, offs: IntervalOffsets) -> Pr
         degenerate=lower == upper,
         excludes_center=not (lower <= point <= upper),
     )
-
-
-def interval_absolute(
-    point: float,
-    errs: ErrorSet,
-    tau: float,
-    method: QuantileMethod = QuantileMethod.LINEAR,
-) -> PredictionInterval:
-    """Symmetric interval point -+ q_tau(|errors|)."""
-    return interval_from_offsets(point, tau, offsets_absolute(errs, tau, method))
-
-
-def interval_directional(
-    point: float,
-    errs: ErrorSet,
-    tau: float,
-    method: QuantileMethod = QuantileMethod.LINEAR,
-) -> PredictionInterval:
-    """Asymmetric interval from signed-error quantiles; may exclude the point
-    forecast, in which case ``excludes_center`` is set."""
-    return interval_from_offsets(point, tau, offsets_directional(errs, tau, method))
 
 
 @dataclass(frozen=True)
@@ -233,28 +199,6 @@ def pool_adjacent_horizons(
                 break
     corrected = _apply_blocks(cols, blocks)
     return corrected, tuple(len(b) for b in blocks)
-
-
-def pool_adjacent_horizons_stack(
-    columns: Mapping[float, tuple[list[float], list[float]]],
-) -> tuple[dict[float, tuple[list[float], list[float]]], tuple[int, ...]]:
-    """Stack formulation of the same correction; used to cross-check the
-    rescanning form (both reach the same fixpoint)."""
-    cols = {tau: (list(lo), list(up)) for tau, (lo, up) in columns.items()}
-    n = len(next(iter(cols.values()))[0])
-    symmetric = _is_symmetric(cols)
-    stack: list[list[int]] = []
-    for i in range(n):
-        stack.append([i])
-        while len(stack) >= 2:
-            blocks = stack[-2:]
-            if _violates(cols, blocks, 0, symmetric):
-                top = stack.pop()
-                stack[-1] = stack[-1] + top
-            else:
-                break
-    corrected = _apply_blocks(cols, stack)
-    return corrected, tuple(len(b) for b in stack)
 
 
 def enforce_horizon_monotonicity(grid: IntervalGrid) -> IntervalGrid:

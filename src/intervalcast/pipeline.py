@@ -40,6 +40,7 @@ from intervalcast.errorsets import (
     ForecastLookup,
     InsufficientHistoryError,
     TruthSelector,
+    YearRow,
     build_error_set,
 )
 from intervalcast.ingest import (
@@ -64,6 +65,7 @@ from intervalcast.scoring import (
     aggregate_report,
     interval_score,
     weighted_interval_score,
+    wis_from_scores,
 )
 
 
@@ -190,24 +192,20 @@ class ErrorHistory:
 
     Each (target, horizon, anchor year, origin, error method) set is built at
     ``max_window``, the longest window any caller asks for; a shorter window w
-    is served as its first w entries, exactly what ``build_error_set(...,
-    window=w)`` returns. A set infeasible at ``max_window`` raises
-    ``InsufficientHistoryError`` for every window. Construction truths are
-    memoized per (target, year, origin).
+    is served as its first w entries, exactly what a build at window w
+    returns. A set infeasible at ``max_window`` raises
+    ``InsufficientHistoryError`` for every window. Sets are walked over year
+    rows filled on first use: one ``year -> point`` row per (target, horizon)
+    and one ``year -> truth`` row per (target, origin).
     """
 
     def __init__(self, forecasts: ForecastLookup, truths: TruthSelector, max_window: int) -> None:
         self.forecasts = forecasts
         self.max_window = max_window
         self._truth_source = truths
-        self._truths: dict[tuple[TargetId, int, ReleaseDate], Optional[float]] = {}
+        self._points: dict[tuple[TargetId, Horizon], YearRow] = {}
+        self._truths: dict[tuple[TargetId, ReleaseDate], YearRow] = {}
         self._sets: dict[tuple, ErrorSet | InsufficientHistoryError] = {}
-
-    def _truth(self, target: TargetId, year: int, as_of: ReleaseDate) -> Optional[float]:
-        key = (target, year, as_of)
-        if key not in self._truths:
-            self._truths[key] = self._truth_source(target, year, as_of)
-        return self._truths[key]
 
     def error_set(
         self,
@@ -223,11 +221,17 @@ class ErrorHistory:
         key = (target, horizon, anchor_year, origin, method)
         full = self._sets.get(key)
         if full is None:
+            forecasts, truths = self.forecasts, self._truth_source
+            points = self._points.setdefault((target, horizon), YearRow(
+                lambda year: forecasts(target, horizon.origin_for(year), year)
+            ))
+            truth_row = self._truths.setdefault(
+                (target, origin), YearRow(lambda year: truths(target, year, origin))
+            )
             try:
                 full = build_error_set(
-                    self.forecasts, self._truth, target, horizon,
-                    anchor_year=anchor_year, origin=origin,
-                    window=self.max_window, method=method,
+                    points, truth_row, target, horizon, anchor_year=anchor_year,
+                    origin=origin, window=self.max_window, method=method,
                 )
             except InsufficientHistoryError as exc:
                 full = exc
@@ -254,8 +258,7 @@ def build_grid(
     """Assemble the interval grid at one origin; gaps are reported, not fatal."""
     cells: dict[Horizon, GridCell] = {}
     gaps: list[str] = []
-    for horizon in HORIZONS:
-        forecast_origin, target_year = outstanding_cells(origin)[horizon]
+    for horizon, (forecast_origin, target_year) in outstanding_cells(origin).items():
         point = history.forecasts(target, forecast_origin, target_year)
         if point is None:
             gaps.append(
@@ -270,14 +273,11 @@ def build_grid(
         except InsufficientHistoryError as exc:
             gaps.append(f"{target.country}/{target.variable} {origin} {horizon.label}: {exc}")
             continue
-        offsets = {
-            tau: offsets_for(errs, tau, config.quantile_method) for tau in config.levels
-        }
         cells[horizon] = GridCell(
             point=point,
             target_year=target_year,
             forecast_origin=forecast_origin,
-            offsets=offsets,
+            offsets=offsets_for(errs, config.levels, config.quantile_method),
             source_years=errs.source_years,
             skipped_years=errs.skipped_years,
         )
@@ -425,7 +425,7 @@ def run_backtest(
                         tau: interval_score(pi.lower, pi.upper, outcome, tau)
                         for tau, pi in intervals.items()
                     }
-                    wis = weighted_interval_score(intervals, outcome, weights)
+                    wis = wis_from_scores(scores, weights)
                     sf = ScoredForecast(
                         target=target,
                         horizon=horizon,
@@ -607,9 +607,10 @@ def run_tuning(
                         )
                     except InsufficientHistoryError:
                         continue
+                    offsets = offsets_for(errs, config.levels, qmethod)
                     intervals = {
-                        tau: interval_from_offsets(point, tau, offsets_for(errs, tau, qmethod))
-                        for tau in config.levels
+                        tau: interval_from_offsets(point, tau, offs)
+                        for tau, offs in offsets.items()
                     }
                     observations.append((intervals, outcome))
                 report.rows.append(

@@ -51,13 +51,33 @@ def empirical_quantile(
     interpolates between the two bracketing order statistics. INVERSE_ECDF
     returns the smallest sample value whose empirical CDF reaches tau.
     """
+    return _read_sorted(_sorted_finite(samples), tau, method)
+
+
+def empirical_quantiles(
+    samples: Sequence[float],
+    taus: Sequence[float],
+    method: QuantileMethod = QuantileMethod.LINEAR,
+) -> list[float]:
+    """``empirical_quantile`` at each level of ``taus``, from one sorted copy
+    of ``samples`` checked once."""
+    xs = _sorted_finite(samples)
+    return [_read_sorted(xs, tau, method) for tau in taus]
+
+
+def _sorted_finite(samples: Sequence[float]) -> list[float]:
     if len(samples) == 0:
         raise EmptyErrorSetError("empty error set: no samples to take a quantile of")
+    xs = sorted(map(float, samples))
+    if not all(map(math.isfinite, xs)):
+        raise InvalidErrorValueError("invalid error value: samples must be finite")
+    return xs
+
+
+def _read_sorted(xs: list[float], tau: float, method: QuantileMethod) -> float:
+    """The tau-quantile of the ascending, finite, nonempty ``xs``."""
     if not (0.0 < tau < 1.0):
         raise ValueError(f"quantile level {tau} outside (0, 1)")
-    xs = sorted(float(x) for x in samples)
-    if not all(math.isfinite(x) for x in xs):
-        raise InvalidErrorValueError("invalid error value: samples must be finite")
     n = len(xs)
     if method is QuantileMethod.LINEAR:
         rank = 1.0 + (n - 1) * tau
@@ -69,8 +89,11 @@ def empirical_quantile(
             return xs[j - 1]
         return xs[j - 1] + g * (xs[j] - xs[j - 1])
     # Inverse ECDF: smallest k with k/n >= tau, evaluated with the same
-    # floating-point comparison an ECDF scan would use.
-    for k in range(1, n + 1):
-        if k / n >= tau:
-            return xs[k - 1]
-    return xs[-1]
+    # floating-point comparison an ECDF scan would use. k/n rounds
+    # monotonically in k, so stepping from ceil(n*tau) finds it.
+    k = min(max(math.ceil(n * tau), 1), n)
+    while k > 1 and (k - 1) / n >= tau:
+        k -= 1
+    while k < n and k / n < tau:
+        k += 1
+    return xs[k - 1]

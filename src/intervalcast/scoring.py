@@ -75,13 +75,22 @@ def weighted_interval_score(
     scale; with a single level it reduces to the plain interval score. No
     point-forecast term is included.
     """
-    missing = [tau for tau in weights.levels if tau not in intervals]
+    scores = {
+        tau: interval_score(intervals[tau].lower, intervals[tau].upper, outcome, tau)
+        for tau in weights.levels
+        if tau in intervals
+    }
+    return wis_from_scores(scores, weights)
+
+
+def wis_from_scores(scores: Mapping[float, ScoreDecomposition], weights: WisWeights) -> float:
+    """The weighted interval score from per-level interval scores in hand."""
+    missing = [tau for tau in weights.levels if tau not in scores]
     if missing:
         raise ValueError(f"incomplete level set: missing levels {missing}")
     acc = 0.0
     for tau, w in zip(weights.levels, weights.weights):
-        pi = intervals[tau]
-        acc += w * interval_score(pi.lower, pi.upper, outcome, tau).total
+        acc += w * scores[tau].total
     return acc / weights.total
 
 

@@ -2,11 +2,14 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intervalcast.domain import ReleaseDate, Season, TargetId
 from intervalcast.ingest import (
     DuplicateRecordError,
     FallbackRule,
+    ForecastPanel,
     SchemaMismatchError,
     TruthRule,
     TruthUnavailableError,
@@ -130,6 +133,48 @@ class TestSelectTruth:
             select_truth(panel, TARGET, 2021, ReleaseDate(2024, Season.FALL))
         with pytest.raises(ValueError, match="unknown truth mode"):
             select_truth(panel, TARGET, 2022, ReleaseDate(2024, Season.FALL), mode="oops")
+
+
+def truth_rule_oracle(vintages, target_year, as_of, mode, fallback):
+    """The documented truth rule over ``{vintage: value}``; None when no
+    vintage qualifies."""
+    admissible = {v: x for v, x in vintages.items() if v <= as_of}
+    fall_after = ReleaseDate(target_year + 1, Season.FALL)
+    spring_after = ReleaseDate(target_year + 1, Season.SPRING)
+    if fall_after in admissible:
+        return admissible[fall_after]
+    if mode == "construction" and target_year == as_of.year - 1 and spring_after in admissible:
+        return admissible[spring_after]
+    if admissible and fallback is FallbackRule.LATEST_AVAILABLE:
+        return admissible[max(admissible)]
+    return None
+
+
+RELEASES = [ReleaseDate(y, s) for y in range(2008, 2015) for s in Season]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    picks=st.lists(st.sampled_from([r for r in RELEASES if r.year >= 2010]), unique=True),
+    other_year=st.lists(st.sampled_from([r for r in RELEASES if r.year >= 2011]), unique=True),
+    as_of=st.sampled_from(RELEASES),
+    mode=st.sampled_from(["evaluation", "construction"]),
+    fallback=st.sampled_from(list(FallbackRule)),
+)
+def test_select_truth_follows_documented_rule(picks, other_year, as_of, mode, fallback):
+    panel = ForecastPanel()
+    vintages = {v: float(i) for i, v in enumerate(picks)}
+    for vintage, value in vintages.items():
+        panel.realizations[(TARGET, 2010, vintage)] = value
+    for vintage in other_year:  # another target year's vintages must not leak in
+        panel.realizations[(TARGET, 2011, vintage)] = -1.0
+    expected = truth_rule_oracle(vintages, 2010, as_of, mode, fallback)
+    rule = TruthRule(fallback=fallback)
+    if expected is None:
+        with pytest.raises(TruthUnavailableError):
+            select_truth(panel, TARGET, 2010, as_of, rule, mode=mode)
+    else:
+        assert select_truth(panel, TARGET, 2010, as_of, rule, mode=mode) == expected
 
 
 QHEADER = "country,variable,year,quarter,value"

@@ -4,16 +4,18 @@ import pytest
 from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, Season, TargetId
 from intervalcast.errorsets import ErrorMethod, ErrorSet
 from intervalcast.intervals import (
-    ErrorMethodMismatch,
     GridCell,
     IntervalGrid,
     IntervalOffsets,
+    _apply_blocks,
+    _is_symmetric,
+    _violates,
     enforce_horizon_monotonicity,
-    interval_absolute,
-    interval_directional,
+    interval_from_offsets,
+    offsets_for,
     pool_adjacent_horizons,
-    pool_adjacent_horizons_stack,
 )
+from intervalcast.quantile import QuantileMethod, empirical_quantile
 
 TARGET = TargetId("AAA", "gdp")
 
@@ -30,54 +32,69 @@ def dir_set(values, anchor=2020):
                     errors=tuple(values), source_years=years)
 
 
+def interval(point, errs, tau):
+    return interval_from_offsets(point, tau, offsets_for(errs, (tau,))[tau])
+
+
 class TestIntervalConstruction:
     def test_absolute_example(self):
         errs = abs_set([0.1 * i for i in range(1, 12)])
-        pi = interval_absolute(2.0, errs, 0.8)
+        pi = interval(2.0, errs, 0.8)
         assert pi.lower == pytest.approx(1.1, abs=1e-12)
         assert pi.upper == pytest.approx(2.9, abs=1e-12)
         assert not pi.degenerate and not pi.excludes_center
 
     def test_absolute_degenerate_flagged(self):
-        pi = interval_absolute(2.0, abs_set([0.0] * 11), 0.8)
+        pi = interval(2.0, abs_set([0.0] * 11), 0.8)
         assert pi.lower == pi.upper == 2.0
         assert pi.degenerate
 
     def test_absolute_median_example(self):
-        pi = interval_absolute(-1.0, abs_set(list(range(1, 12))), 0.5)
+        pi = interval(-1.0, abs_set(list(range(1, 12))), 0.5)
         assert (pi.lower, pi.upper) == (-7.0, 5.0)
 
     def test_absolute_symmetry(self, rng):
         for _ in range(20):
             errs = abs_set(list(np.abs(rng.normal(size=11))))
             point = float(rng.normal())
-            pi = interval_absolute(point, errs, 0.8)
+            pi = interval(point, errs, 0.8)
             assert pi.upper - point == pytest.approx(point - pi.lower, abs=1e-12)
             assert pi.contains(point)
 
     def test_directional_one_sided_pathology(self):
         errs = dir_set([round(-0.1 * i, 10) for i in range(1, 12)])
-        pi = interval_directional(0.0, errs, 0.5)
+        pi = interval(0.0, errs, 0.5)
         assert pi.lower == pytest.approx(-0.85, abs=1e-12)
         assert pi.upper == pytest.approx(-0.35, abs=1e-12)
         assert pi.excludes_center
 
     def test_directional_symmetric_errors(self):
         errs = dir_set(list(range(-5, 6)))
-        pi = interval_directional(2.0, errs, 0.8)
+        pi = interval(2.0, errs, 0.8)
         assert (pi.lower, pi.upper) == (-2.0, 6.0)
         assert not pi.excludes_center
 
     def test_directional_degenerate(self):
-        pi = interval_directional(1.5, dir_set([0.0] * 11), 0.8)
+        pi = interval(1.5, dir_set([0.0] * 11), 0.8)
         assert pi.degenerate
         assert not pi.excludes_center
 
-    def test_method_mismatch(self):
-        with pytest.raises(ErrorMethodMismatch):
-            interval_absolute(0.0, dir_set([1.0] * 11), 0.5)
-        with pytest.raises(ErrorMethodMismatch):
-            interval_directional(0.0, abs_set([1.0] * 11), 0.5)
+    def test_offsets_for_reads_each_level_as_a_single_quantile(self, rng):
+        levels = (0.2, 0.5, 0.8, 0.9)
+        errs = abs_set(list(np.abs(rng.normal(size=11))))
+        offsets = offsets_for(errs, levels, QuantileMethod.INVERSE_ECDF)
+        assert list(offsets) == list(levels)
+        for tau, offs in offsets.items():
+            q = empirical_quantile(errs.errors, tau, QuantileMethod.INVERSE_ECDF)
+            assert offs == IntervalOffsets(-q, q)
+        errs = dir_set(list(rng.normal(size=11)))
+        offsets = offsets_for(errs, levels)
+        assert list(offsets) == list(levels)
+        for tau, offs in offsets.items():
+            assert offs == IntervalOffsets(
+                empirical_quantile(errs.errors, (1 - tau) / 2),
+                empirical_quantile(errs.errors, (1 + tau) / 2),
+            )
 
 
 def symmetric_columns(uppers_by_level):
@@ -169,6 +186,26 @@ def test_pava_random_properties(symmetric, rng):
             for tau in cols:
                 lo, up = corrected[tau]
                 assert lo == pytest.approx([-u for u in up], abs=1e-12)
+
+
+def pool_adjacent_horizons_stack(columns):
+    """Stack formulation of the same correction; used to cross-check the
+    rescanning form (both reach the same fixpoint)."""
+    cols = {tau: (list(lo), list(up)) for tau, (lo, up) in columns.items()}
+    n = len(next(iter(cols.values()))[0])
+    symmetric = _is_symmetric(cols)
+    stack: list[list[int]] = []
+    for i in range(n):
+        stack.append([i])
+        while len(stack) >= 2:
+            blocks = stack[-2:]
+            if _violates(cols, blocks, 0, symmetric):
+                top = stack.pop()
+                stack[-1] = stack[-1] + top
+            else:
+                break
+    corrected = _apply_blocks(cols, stack)
+    return corrected, tuple(len(b) for b in stack)
 
 
 @pytest.mark.parametrize("symmetric", [True, False])

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intervalcast.quantile import (
     EmptyErrorSetError,
     InvalidErrorValueError,
     QuantileMethod,
     empirical_quantile,
+    empirical_quantiles,
 )
 
 
@@ -82,6 +85,23 @@ def test_inverse_ecdf_matches_scan_oracle(rng):
             )
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    k=st.integers(0, 200),
+    nudge=st.sampled_from([0.0, 1e-17, -1e-17, 1e-12, -1e-12]),
+    tau=st.one_of(st.none(), st.floats(1e-9, 1 - 1e-9)),
+)
+def test_inverse_ecdf_is_the_first_k_over_n_reaching_tau(n, k, nudge, tau):
+    # Levels at and next to the steps k/n, where a closed form could round
+    # differently from the scan.
+    if tau is None:
+        tau = min(max(k % (n + 1) / n + nudge, 1e-9), 1 - 1e-9)
+    xs = list(range(n))
+    first = next((j for j in range(1, n + 1) if j / n >= tau), n)
+    assert empirical_quantile(xs, tau, QuantileMethod.INVERSE_ECDF) == first - 1
+
+
 def test_linear_matches_numpy(rng):
     for n in range(1, 21):
         samples = rng.normal(size=n)
@@ -89,3 +109,32 @@ def test_linear_matches_numpy(rng):
             expected = float(np.quantile(samples, tau, method="linear"))
             got = empirical_quantile(list(samples), tau, QuantileMethod.LINEAR)
             assert got == pytest.approx(expected, abs=1e-12)
+
+
+# The levels a pipeline reads: tau and the directional (1 -+ tau) / 2.
+PIPELINE_TAUS = sorted(
+    {t for k in range(1, 10) for t in (k / 10, (1 - k / 10) / 2, (1 + k / 10) / 2)}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    samples=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=60),
+    taus=st.lists(
+        st.one_of(st.sampled_from(PIPELINE_TAUS), st.floats(1e-6, 1 - 1e-6)),
+        min_size=1, max_size=20,
+    ),
+    method=st.sampled_from(list(QuantileMethod)),
+)
+def test_multi_level_reader_equals_single_level_calls(samples, taus, method):
+    together = empirical_quantiles(samples, taus, method)
+    assert together == [empirical_quantile(samples, tau, method) for tau in taus]
+
+
+def test_multi_level_reader_checks_the_window():
+    with pytest.raises(EmptyErrorSetError):
+        empirical_quantiles([], [0.5])
+    with pytest.raises(InvalidErrorValueError):
+        empirical_quantiles([1.0, float("inf")], [0.5])
+    with pytest.raises(ValueError):
+        empirical_quantiles([1.0], [0.5, 1.0])
