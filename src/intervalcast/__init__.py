@@ -2,7 +2,6 @@
 and proper-scoring-rule evaluation."""
 
 from intervalcast.domain import (
-    G7,
     VARIABLES,
     Horizon,
     ReleaseDate,
@@ -29,7 +28,6 @@ from intervalcast.scoring import (
 from intervalcast.pipeline import RunConfig, produce_forecast, run_backtest, run_tuning
 
 __all__ = [
-    "G7",
     "VARIABLES",
     "Horizon",
     "ReleaseDate",

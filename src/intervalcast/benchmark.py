@@ -219,7 +219,11 @@ class QuarterlyTruthSelector:
     def __call__(self, target: TargetId, year: int, as_of: ReleaseDate) -> Optional[float]:
         if year >= as_of.year:
             return None
+        return self.settled(target, year)[1]
+
+    def settled(self, target: TargetId, year: int) -> tuple[ReleaseDate, Optional[float]]:
+        """The spring release after ``year`` and the year's aggregate (None
+        without a series or with a quarter missing)."""
         series = self.series_by_target.get(target)
-        if series is None:
-            return None
-        return annual_truth(series, year)
+        truth = None if series is None else annual_truth(series, year)
+        return ReleaseDate(year + 1, Season.SPRING), truth

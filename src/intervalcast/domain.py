@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
 
-G7 = ("CAN", "DEU", "FRA", "GBR", "ITA", "JPN", "USA")
 VARIABLES = ("gdp", "cpi")
 
 
@@ -42,11 +41,13 @@ class ReleaseDate:
     year: int
     season: Season
 
-    def _key(self) -> tuple[int, int]:
-        return (self.year, self.season.rank)
+    @property
+    def ordinal(self) -> int:
+        """Position in the release sequence: each year's spring, then its fall."""
+        return self.year * 2 + self.season.rank
 
     def __lt__(self, other: "ReleaseDate") -> bool:
-        return self._key() < other._key()
+        return self.ordinal < other.ordinal
 
     def __str__(self) -> str:
         return f"{self.year}{self.season.value}"

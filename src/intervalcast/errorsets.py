@@ -12,19 +12,24 @@ import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Any, Optional, Protocol
 
 from intervalcast.domain import Horizon, ReleaseDate, TargetId
 
 # ``typing.Callable`` would cache these subscriptions and so keep every
 # imported ``TargetId`` class alive across re-imports of the package.
 
-# Realization selector: value of (target, year) observable at the given
-# release date, or None if no admissible vintage exists yet.
-TruthSelector = Callable[[TargetId, int, ReleaseDate], Optional[float]]
-
 # Forecast lookup: point forecast for (target, origin, target-year), or None.
 ForecastLookup = Callable[[TargetId, ReleaseDate, int], Optional[float]]
+
+
+class TruthSelector(Protocol):
+    """``selector(target, year, as_of)``: the truth of (target, year) observable
+    at release ``as_of``, or None. ``settled(target, year)``: ``(release, truth)``
+    when every call for the year from ``release`` on returns ``truth``, or None."""
+
+    def __call__(self, target: TargetId, year: int, as_of: ReleaseDate) -> Optional[float]: ...
+    def settled(self, target: TargetId, year: int) -> Optional[tuple[ReleaseDate, Optional[float]]]: ...
 
 
 class InsufficientHistoryError(ValueError):
@@ -88,17 +93,26 @@ class ErrorSet:
         return len(self.errors)
 
 
-class YearRow(dict[int, Optional[float]]):
+class YearRow(dict[int, Any]):
     """``year -> value`` of one series, each year computed by ``fill`` on its
-    first subscription (``row[year]``); None marks a year without a value."""
+    first subscription (``row[year]``)."""
 
-    def __init__(self, fill: Callable[[int], Optional[float]]) -> None:
+    def __init__(self, fill: Callable[[int], Any]) -> None:
         super().__init__()
         self.fill = fill
 
-    def __missing__(self, year: int) -> Optional[float]:
+    def __missing__(self, year: int) -> Any:
         value = self[year] = self.fill(year)
         return value
+
+
+def year_error(
+    realized: Optional[float], points: Mapping[int, Any], year: int, method: ErrorMethod
+) -> Optional[float]:
+    """The error of ``year`` against ``realized``, or None; reads the point
+    only when the truth is present."""
+    forecast = None if realized is None else points[year]
+    return None if forecast is None else forecast_error(realized, forecast, method)  # type: ignore[arg-type]
 
 
 def build_error_set(
@@ -111,6 +125,7 @@ def build_error_set(
     window: int,
     method: ErrorMethod = ErrorMethod.ABSOLUTE,
     max_lookback: int = 200,
+    settled: Optional[Mapping[int, tuple[int, Optional[float]]]] = None,
 ) -> ErrorSet:
     """Collect the ``window`` most recent eligible errors before ``anchor_year``.
 
@@ -122,6 +137,10 @@ def build_error_set(
     substituted by the next older eligible year and recorded in
     ``skipped_years``. Years not yet ended at ``origin`` are never eligible
     and are not substitutions.
+
+    ``settled[year]``, when given, is ``(first, error)``: at every origin
+    whose ``ReleaseDate.ordinal`` is at least ``first`` the year's error is
+    ``error`` (None when ineligible), and neither row is read.
     """
     if window < 1:
         raise ValueError("window length must be positive")
@@ -130,13 +149,15 @@ def build_error_set(
     skipped: list[int] = []
     year = min(anchor_year, origin.year) - 1
     floor = year - max_lookback
+    at = origin.ordinal
     while len(errors) < window and year > floor:
-        realized = truths[year]
-        forecast = None if realized is None else points[year]
-        if realized is None or forecast is None:
+        first, error = (at + 1, None) if settled is None else settled[year]
+        if first > at:
+            error = year_error(truths[year], points, year, method)
+        if error is None:
             skipped.append(year)
         else:
-            errors.append(forecast_error(realized, forecast, method))
+            errors.append(error)
             source_years.append(year)
         year -= 1
     if len(errors) < window:

@@ -58,14 +58,6 @@ class TruthUnavailableError(LookupError):
     pass
 
 
-class EvaluationRule(Enum):
-    FIRST_FALL_AFTER_TARGET_YEAR = "first-fall-release-after-target-year"
-
-
-class ConstructionRule(Enum):
-    FALL_ELSE_SPRING_FOR_PRECEDING_YEAR = "fall-release-else-spring-for-preceding-year"
-
-
 class FallbackRule(Enum):
     LATEST_AVAILABLE = "latest-available-release"
     NONE = "none"
@@ -73,8 +65,6 @@ class FallbackRule(Enum):
 
 @dataclass(frozen=True)
 class TruthRule:
-    evaluation: EvaluationRule = EvaluationRule.FIRST_FALL_AFTER_TARGET_YEAR
-    construction: ConstructionRule = ConstructionRule.FALL_ELSE_SPRING_FOR_PRECEDING_YEAR
     fallback: FallbackRule = FallbackRule.LATEST_AVAILABLE
 
 
@@ -89,26 +79,6 @@ class ForecastPanel:
 
     def forecast(self, target: TargetId, origin: ReleaseDate, target_year: int) -> Optional[float]:
         return self.forecasts.get((target, origin, target_year))
-
-    def add_forecast(self, rec: ForecastRecord, line: Optional[int] = None) -> None:
-        key = (rec.target, rec.origin, rec.target_year)
-        if key in self.forecasts:
-            raise DuplicateRecordError(
-                f"duplicate record: forecast {rec.target.country}/{rec.target.variable} "
-                f"origin {rec.origin} target {rec.target_year}"
-                + (f" (line {line})" if line else "")
-            )
-        self.forecasts[key] = rec.value
-
-    def add_realization(self, rec: RealizationVintage, line: Optional[int] = None) -> None:
-        key = (rec.target, rec.target_year, rec.vintage)
-        if key in self.realizations:
-            raise DuplicateRecordError(
-                f"duplicate record: realization {rec.target.country}/{rec.target.variable} "
-                f"target {rec.target_year} vintage {rec.vintage}"
-                + (f" (line {line})" if line else "")
-            )
-        self.realizations[key] = rec.value
 
     def vintages_for(self, target: TargetId, target_year: int) -> list[tuple[ReleaseDate, float]]:
         return self._vintage_index().get((target, target_year), [])
@@ -216,6 +186,7 @@ def parse_forecast_panel(stream: TextIO, source: str = "") -> ForecastPanel:
         raise SchemaMismatchError("schema mismatch: empty file") from None
     _check_header(header, FORECAST_HEADER)
     panel = ForecastPanel(source=source)
+    # The first line of each forecast and realization key.
     seen: dict[object, int] = {}
     for line, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
@@ -233,30 +204,24 @@ def parse_forecast_panel(stream: TextIO, source: str = "") -> ForecastPanel:
         target_year = _parse_int(ty, line, "target_year")
         if kind == "forecast":
             origin = ReleaseDate(_parse_int(oy, line, "origin_year"), Season.parse(os_))
-            rec = ForecastRecord(target=target, origin=origin, target_year=target_year, value=value)
-            key = ("forecast", rec.target, rec.origin, rec.target_year)
-            if key in seen:
-                raise DuplicateRecordError(
-                    f"duplicate record: forecast {country}/{variable} origin {origin} "
-                    f"target {target_year} at lines {seen[key]} and {line}"
-                )
-            seen[key] = line
-            panel.add_forecast(rec, line=line)
+            # The records validate the horizon and the vintage year.
+            ForecastRecord(target=target, origin=origin, target_year=target_year, value=value)
+            key, store = (target, origin, target_year), panel.forecasts
         elif kind == "realization":
             vintage = ReleaseDate(_parse_int(vy, line, "vintage_year"), Season.parse(vs))
-            rec = RealizationVintage(
-                target=target, target_year=target_year, vintage=vintage, value=value
-            )
-            key = ("realization", rec.target, rec.target_year, rec.vintage)
-            if key in seen:
-                raise DuplicateRecordError(
-                    f"duplicate record: realization {country}/{variable} target "
-                    f"{target_year} vintage {vintage} at lines {seen[key]} and {line}"
-                )
-            seen[key] = line
-            panel.add_realization(rec, line=line)
+            RealizationVintage(target=target, target_year=target_year, vintage=vintage, value=value)
+            key, store = (target, target_year, vintage), panel.realizations
         else:
             raise SchemaMismatchError(f"line {line}: unknown kind {kind!r}")
+        first = seen.setdefault(key, line)
+        if first != line:
+            what = (
+                f"forecast {country}/{variable} origin {origin} target {target_year}"
+                if kind == "forecast"
+                else f"realization {country}/{variable} target {target_year} vintage {vintage}"
+            )
+            raise DuplicateRecordError(f"duplicate record: {what} at lines {first} and {line}")
+        store[key] = value
     return panel
 
 
@@ -280,13 +245,10 @@ def select_truth(
         raise ValueError(f"unknown truth mode {mode!r}")
     # The fall release after the target year, once dated at or before
     # ``as_of``, is the truth whatever else is out; read it directly.
-    if target_year + 1 < as_of.year or (
-        target_year + 1 == as_of.year and as_of.season is Season.FALL
-    ):
-        fall_after = ReleaseDate(target_year + 1, Season.FALL)
-        settled = panel.realizations.get((target, target_year, fall_after))
-        if settled is not None:
-            return settled
+    fall_after = ReleaseDate(target_year + 1, Season.FALL)
+    settled = panel.realizations.get((target, target_year, fall_after))
+    if settled is not None and fall_after <= as_of:
+        return settled
     available = {v: val for v, val in panel.vintages_for(target, target_year) if v <= as_of}
     if not available:
         raise TruthUnavailableError(
@@ -321,6 +283,13 @@ class PanelTruthSelector:
             return select_truth(self.panel, target, year, as_of, self.rule, mode=self.mode)
         except TruthUnavailableError:
             return None
+
+    def settled(self, target: TargetId, year: int) -> Optional[tuple[ReleaseDate, float]]:
+        """The fall release after ``year`` and its value, which ``select_truth``
+        takes first in both modes once out; None when the panel lacks it."""
+        fall_after = ReleaseDate(year + 1, Season.FALL)
+        truth = self.panel.realizations.get((target, year, fall_after))
+        return None if truth is None else (fall_after, truth)
 
 
 def parse_quarterly(

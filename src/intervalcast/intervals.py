@@ -11,6 +11,7 @@ quantile crossing is introduced.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import gt, lt
 from typing import Mapping, Optional, Sequence
 
 from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, TargetId
@@ -53,26 +54,32 @@ class PredictionInterval:
         return self.lower <= outcome <= self.upper
 
 
-def offsets_for(
+def level_rows(
     errs: ErrorSet,
     levels: Sequence[float],
     method: QuantileMethod = QuantileMethod.LINEAR,
-) -> dict[float, IntervalOffsets]:
-    """Offsets at every level of ``levels``, read from one sorted copy of the
-    error window.
+) -> tuple[list[float], list[float]]:
+    """Lower and upper offsets at every level of ``levels``, read from one
+    sorted copy of the error window.
 
     Absolute errors give symmetric offsets +-q_tau; directional errors give
     the (1-tau)/2 and (1+tau)/2 quantiles of the signed errors.
     """
     if errs.method is ErrorMethod.ABSOLUTE:
         qs = empirical_quantiles(errs.errors, levels, method)
-        return {tau: IntervalOffsets(lower=-q, upper=q) for tau, q in zip(levels, qs)}
+        return [-q for q in qs], qs
     taus = [t for tau in levels for t in ((1.0 - tau) / 2.0, (1.0 + tau) / 2.0)]
     qs = empirical_quantiles(errs.errors, taus, method)
-    return {
-        tau: IntervalOffsets(lower=qs[2 * i], upper=qs[2 * i + 1])
-        for i, tau in enumerate(levels)
-    }
+    return qs[0::2], qs[1::2]
+
+
+def offsets_for(
+    errs: ErrorSet,
+    levels: Sequence[float],
+    method: QuantileMethod = QuantileMethod.LINEAR,
+) -> dict[float, IntervalOffsets]:
+    """``level_rows`` as offsets keyed by level."""
+    return dict(zip(levels, map(IntervalOffsets, *level_rows(errs, levels, method))))
 
 
 def interval_from_offsets(point: float, tau: float, offs: IntervalOffsets) -> PredictionInterval:
@@ -126,79 +133,60 @@ class IntervalGrid:
         return tuple(sorted(first.offsets))
 
 
-def _is_symmetric(columns: dict[float, tuple[list[float], list[float]]]) -> bool:
-    return all(
-        lo == -up
-        for lows, ups in columns.values()
-        for lo, up in zip(lows, ups)
-    )
+def _block_mean(rows: Sequence[Sequence[float]], members: list[int]) -> list[float]:
+    """Level-wise means of the member positions' rows, summed in member order."""
+    k = len(members)
+    return [total / k for total in map(sum, zip(*[rows[p] for p in members]))]
 
 
-def _violates(
-    columns: dict[float, tuple[list[float], list[float]]],
-    blocks: list[list[int]],
-    r: int,
-    symmetric: bool,
-) -> bool:
-    """Whether adjacent blocks r, r+1 break the horizon ordering at any level."""
+def pool_level_rows(
+    lowers: Sequence[Sequence[float]], uppers: Sequence[Sequence[float]]
+) -> tuple[list[list[float]], list[list[float]], tuple[int, ...]]:
+    """Pool-adjacent-violators over positions (horizons), jointly at all levels.
 
-    def block_mean(vals: list[float], members: list[int]) -> float:
-        return sum(vals[i] for i in members) / len(members)
-
-    for lows, ups in columns.values():
-        if block_mean(ups, blocks[r]) > block_mean(ups, blocks[r + 1]):
-            return True
-        if not symmetric and block_mean(lows, blocks[r]) < block_mean(lows, blocks[r + 1]):
-            return True
-    return False
-
-
-def _apply_blocks(
-    columns: dict[float, tuple[list[float], list[float]]], blocks: list[list[int]]
-) -> dict[float, tuple[list[float], list[float]]]:
-    out: dict[float, tuple[list[float], list[float]]] = {}
-    for tau, (lows, ups) in columns.items():
-        new_lo = list(lows)
-        new_up = list(ups)
-        for members in blocks:
-            mlo = sum(lows[i] for i in members) / len(members)
-            mup = sum(ups[i] for i in members) / len(members)
-            for i in members:
-                new_lo[i] = mlo
-                new_up[i] = mup
-        out[tau] = (new_lo, new_up)
-    return out
+    ``lowers[p]`` and ``uppers[p]`` hold position p's offsets, one per level.
+    A violation at any level (an upper mean above the next block's or, unless
+    all offsets are symmetric, a lower mean below it) merges the two blocks at
+    every level and on both sides; scanning restarts from the front after each
+    merge. Returns each position's block mean (-0.0 becomes 0.0) as one row
+    shared by the block's members, and the block sizes."""
+    symmetric = all(lo == -up for lrow, urow in zip(lowers, uppers) for lo, up in zip(lrow, urow))
+    blocks = [[p] for p in range(len(uppers))]
+    # A lone position's mean as ``_block_mean`` sums it: 0 + x.
+    lo_means = [[0 + x for x in row] for row in lowers]
+    up_means = [[0 + x for x in row] for row in uppers]
+    r = 0
+    while r < len(blocks) - 1:
+        wider = any(map(gt, up_means[r], up_means[r + 1]))
+        if wider or (not symmetric and any(map(lt, lo_means[r], lo_means[r + 1]))):
+            blocks[r:r + 2] = [blocks[r] + blocks[r + 1]]
+            lo_means[r:r + 2] = [_block_mean(lowers, blocks[r])]
+            up_means[r:r + 2] = [_block_mean(uppers, blocks[r])]
+            r = 0
+        else:
+            r += 1
+    pooled_lo = [mean for members, mean in zip(blocks, lo_means) for _ in members]
+    pooled_up = [mean for members, mean in zip(blocks, up_means) for _ in members]
+    return pooled_lo, pooled_up, tuple(len(members) for members in blocks)
 
 
 def pool_adjacent_horizons(
     columns: Mapping[float, tuple[list[float], list[float]]],
 ) -> tuple[dict[float, tuple[list[float], list[float]]], tuple[int, ...]]:
-    """Pool-adjacent-violators over horizon positions, jointly at all levels.
-
-    ``columns`` maps each confidence level to (lower offsets, upper offsets)
-    listed in horizon order. A violation at any level merges the two adjacent
-    blocks at every level and on both sides; merged blocks take their
-    size-weighted mean. Scanning restarts from the front after each merge.
-    Returns the corrected columns and the final block sizes.
-    """
-    cols = {tau: (list(lo), list(up)) for tau, (lo, up) in columns.items()}
-    n = len(next(iter(cols.values()))[0])
-    for lows, ups in cols.values():
-        if len(lows) != n or len(ups) != n:
-            raise ValueError("all levels must cover the same horizons")
-    symmetric = _is_symmetric(cols)
-    blocks: list[list[int]] = [[i] for i in range(n)]
-    merged = True
-    while merged:
-        merged = False
-        for r in range(len(blocks) - 1):
-            if _violates(cols, blocks, r, symmetric):
-                blocks[r] = blocks[r] + blocks[r + 1]
-                del blocks[r + 1]
-                merged = True
-                break
-    corrected = _apply_blocks(cols, blocks)
-    return corrected, tuple(len(b) for b in blocks)
+    """``pool_level_rows`` over ``columns``, which map each level to (lower
+    offsets, upper offsets) in horizon order; returns columns and blocks."""
+    levels = list(columns)
+    if len({len(side) for sides in columns.values() for side in sides}) > 1:
+        raise ValueError("all levels must cover the same horizons")
+    lowers, uppers, blocks = pool_level_rows(
+        list(zip(*[columns[tau][0] for tau in levels])),
+        list(zip(*[columns[tau][1] for tau in levels])),
+    )
+    corrected = {
+        tau: ([row[k] for row in lowers], [row[k] for row in uppers])
+        for k, tau in enumerate(levels)
+    }
+    return corrected, blocks
 
 
 def enforce_horizon_monotonicity(grid: IntervalGrid) -> IntervalGrid:
@@ -210,21 +198,13 @@ def enforce_horizon_monotonicity(grid: IntervalGrid) -> IntervalGrid:
     horizons = grid.horizons
     if len(horizons) <= 1:
         return replace(grid, blocks=tuple([1] * len(horizons)))
-    levels = grid.levels
-    columns = {
-        tau: (
-            [grid.cells[h].offsets[tau].lower for h in horizons],
-            [grid.cells[h].offsets[tau].upper for h in horizons],
-        )
-        for tau in levels
+    levels, cells = grid.levels, [grid.cells[h] for h in horizons]
+    lowers, uppers, blocks = pool_level_rows(
+        [[cell.offsets[tau].lower for tau in levels] for cell in cells],
+        [[cell.offsets[tau].upper for tau in levels] for cell in cells],
+    )
+    new_cells = {
+        h: replace(cell, offsets=dict(zip(levels, map(IntervalOffsets, lo, up))))
+        for h, cell, lo, up in zip(horizons, cells, lowers, uppers)
     }
-    corrected, blocks = pool_adjacent_horizons(columns)
-    new_cells = {}
-    for idx, h in enumerate(horizons):
-        cell = grid.cells[h]
-        new_offsets = {
-            tau: IntervalOffsets(corrected[tau][0][idx], corrected[tau][1][idx])
-            for tau in levels
-        }
-        new_cells[h] = replace(cell, offsets=new_offsets)
     return IntervalGrid(target=grid.target, origin=grid.origin, cells=new_cells, blocks=blocks)

@@ -15,6 +15,7 @@ import io
 import json
 import csv
 import os
+import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Optional, Sequence
 
@@ -42,6 +43,7 @@ from intervalcast.errorsets import (
     TruthSelector,
     YearRow,
     build_error_set,
+    year_error,
 )
 from intervalcast.ingest import (
     ForecastPanel,
@@ -53,9 +55,12 @@ from intervalcast.ingest import (
 from intervalcast.intervals import (
     GridCell,
     IntervalGrid,
-    enforce_horizon_monotonicity,
+    IntervalOffsets,
+    enforce_horizon_monotonicity,  # noqa: F401  (looked up here by the benchmark's tracer)
     interval_from_offsets,
+    level_rows,
     offsets_for,
+    pool_level_rows,
 )
 from intervalcast.quantile import QuantileMethod
 from intervalcast.scoring import (
@@ -194,16 +199,17 @@ class ErrorHistory:
     ``max_window``, the longest window any caller asks for; a shorter window w
     is served as its first w entries, exactly what a build at window w
     returns. A set infeasible at ``max_window`` raises
-    ``InsufficientHistoryError`` for every window. Sets are walked over year
-    rows filled on first use: one ``year -> point`` row per (target, horizon)
-    and one ``year -> truth`` row per (target, origin).
-    """
+    ``InsufficientHistoryError`` for every window. Sets are walked over rows
+    filled on first use: settled ``year -> (first release, error)`` per (target,
+    horizon, method), ``year -> point`` per (target, horizon), and, for years
+    not yet settled, ``year -> truth`` per (target, origin)."""
 
     def __init__(self, forecasts: ForecastLookup, truths: TruthSelector, max_window: int) -> None:
         self.forecasts = forecasts
         self.max_window = max_window
         self._truth_source = truths
         self._points: dict[tuple[TargetId, Horizon], YearRow] = {}
+        self._settled: dict[tuple[TargetId, Horizon, ErrorMethod], YearRow] = {}
         self._truths: dict[tuple[TargetId, ReleaseDate], YearRow] = {}
         self._sets: dict[tuple, ErrorSet | InsufficientHistoryError] = {}
 
@@ -225,13 +231,16 @@ class ErrorHistory:
             points = self._points.setdefault((target, horizon), YearRow(
                 lambda year: forecasts(target, horizon.origin_for(year), year)
             ))
+            settled = self._settled.setdefault((target, horizon, method), YearRow(
+                lambda year: _settled_entry(truths.settled(target, year), points, year, method)
+            ))
             truth_row = self._truths.setdefault(
                 (target, origin), YearRow(lambda year: truths(target, year, origin))
             )
             try:
                 full = build_error_set(
                     points, truth_row, target, horizon, anchor_year=anchor_year,
-                    origin=origin, window=self.max_window, method=method,
+                    origin=origin, window=self.max_window, method=method, settled=settled,
                 )
             except InsufficientHistoryError as exc:
                 full = exc
@@ -249,15 +258,24 @@ class ErrorHistory:
         )
 
 
+def _settled_entry(found, points: YearRow, year: int, method: ErrorMethod) -> tuple[int, Optional[float]]:
+    """A settled row's ``(first release ordinal, error)``; None is never settled."""
+    if found is None:
+        return sys.maxsize, None
+    return found[0].ordinal, year_error(found[1], points, year, method)
+
+
 def build_grid(
     history: ErrorHistory,
     target: TargetId,
     origin: ReleaseDate,
     config: RunConfig,
 ) -> tuple[Optional[IntervalGrid], list[str]]:
-    """Assemble the interval grid at one origin; gaps are reported, not fatal."""
-    cells: dict[Horizon, GridCell] = {}
+    """Assemble the pooled interval grid at one origin; gaps are reported, not
+    fatal. Offsets are read and pooled as level rows, then built once."""
+    found: list[tuple[Horizon, float, int, ReleaseDate, ErrorSet]] = []
     gaps: list[str] = []
+    # ``outstanding_cells`` lists the horizons in order, as pooling needs.
     for horizon, (forecast_origin, target_year) in outstanding_cells(origin).items():
         point = history.forecasts(target, forecast_origin, target_year)
         if point is None:
@@ -273,18 +291,26 @@ def build_grid(
         except InsufficientHistoryError as exc:
             gaps.append(f"{target.country}/{target.variable} {origin} {horizon.label}: {exc}")
             continue
-        cells[horizon] = GridCell(
+        found.append((horizon, point, target_year, forecast_origin, errs))
+    if not found:
+        return None, gaps
+    lowers, uppers = zip(*(level_rows(f[-1], config.levels, config.quantile_method) for f in found))
+    blocks: tuple[int, ...] = (1,)
+    if len(found) > 1:  # a lone cell keeps its offsets as read
+        lowers, uppers, blocks = pool_level_rows(lowers, uppers)
+    cells = {
+        horizon: GridCell(
             point=point,
             target_year=target_year,
             forecast_origin=forecast_origin,
-            offsets=offsets_for(errs, config.levels, config.quantile_method),
+            offsets=dict(zip(config.levels, map(IntervalOffsets, lower, upper))),
             source_years=errs.source_years,
             skipped_years=errs.skipped_years,
         )
-    if not cells:
-        return None, gaps
-    grid = IntervalGrid(target=target, origin=origin, cells=cells)
-    return enforce_horizon_monotonicity(grid), gaps
+        for (horizon, point, target_year, forecast_origin, errs), lower, upper
+        in zip(found, lowers, uppers)
+    }
+    return IntervalGrid(target=target, origin=origin, cells=cells, blocks=blocks), gaps
 
 
 def _ar_lookup(

@@ -14,6 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from intervalcast.domain import Horizon, ReleaseDate, TargetId
@@ -55,11 +56,11 @@ class WisWeights:
 
     levels: tuple[float, ...]
 
-    @property
+    @cached_property
     def weights(self) -> tuple[float, ...]:
         return tuple((1.0 - tau) / 2.0 for tau in self.levels)
 
-    @property
+    @cached_property
     def total(self) -> float:
         return sum(self.weights)
 

@@ -5,14 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from intervalcast.domain import (
-    HORIZONS,
-    ForecastRecord,
-    RealizationVintage,
-    ReleaseDate,
-    Season,
-    TargetId,
-)
+from intervalcast.domain import HORIZONS, ReleaseDate, Season, TargetId
 from intervalcast.ingest import ForecastPanel
 
 DEFAULT_SIGMAS = {h: 0.5 + 0.25 * h.index for h in HORIZONS}
@@ -53,21 +46,11 @@ def make_panel(
                     if not first_year <= origin.year <= last_year:
                         continue
                     err = float(rng.normal(0.0, sigmas[horizon]))
-                    panel.add_forecast(
-                        ForecastRecord(
-                            target=target, origin=origin, target_year=year,
-                            value=truth - err,
-                        )
-                    )
+                    panel.forecasts[(target, origin, year)] = truth - err
                 if year > last_year:
                     continue
                 for season in (Season.SPRING, Season.FALL):
-                    panel.add_realization(
-                        RealizationVintage(
-                            target=target, target_year=year,
-                            vintage=ReleaseDate(year + 1, season), value=truth,
-                        )
-                    )
+                    panel.realizations[(target, year, ReleaseDate(year + 1, season))] = truth
     return panel
 
 

@@ -1,8 +1,11 @@
-"""The error-history provider against the scalar per-year walk, and tuning
-through it against the loop that rebuilt every set at every window."""
+"""The error-history provider against the scalar per-year walk, settled
+truths against per-origin selection, and tuning, backtests and forecast files
+against the paths that rebuilt every set at every window and pooled by
+rescanning."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -20,13 +23,16 @@ from intervalcast.errorsets import (
     InsufficientHistoryError,
     forecast_error,
 )
+from intervalcast import pipeline
 from intervalcast.ingest import (
+    FallbackRule,
     ForecastPanel,
     PanelTruthSelector,
+    TruthRule,
     TruthUnavailableError,
     select_truth,
 )
-from intervalcast.intervals import IntervalOffsets, interval_from_offsets
+from intervalcast.intervals import GridCell, IntervalGrid, IntervalOffsets, interval_from_offsets
 from intervalcast.pipeline import (
     ErrorHistory,
     RunConfig,
@@ -35,11 +41,15 @@ from intervalcast.pipeline import (
     _targets,
     _tuning_row,
     outstanding_cells,
+    produce_forecast,
+    run_backtest,
     run_tuning,
+    write_backtest_outputs,
 )
 from intervalcast.quantile import QuantileMethod, empirical_quantile
 
 from conftest import make_panel
+from test_intervals import rescanning_pool
 
 TARGET = TargetId("AAA", "gdp")
 
@@ -67,7 +77,11 @@ def scalar_error_set(
             source_years.append(year)
         year -= 1
     if len(errors) < window:
-        raise InsufficientHistoryError("insufficient history", len(errors), window)
+        raise InsufficientHistoryError(
+            f"insufficient history for {target} {horizon.label} anchor {anchor_year}: "
+            f"found {len(errors)} of {window} eligible years",
+            len(errors), window,
+        )
     return ErrorSet(target, horizon, anchor_year, method, tuple(errors),
                     tuple(source_years), tuple(skipped))
 
@@ -208,6 +222,54 @@ def test_provider_matches_scalar_walk_on_quarterly_truths(seed, gaps, max_window
     )
 
 
+def _releases(first: ReleaseDate, last_year: int):
+    """Every release from ``first`` through the fall of ``last_year``."""
+    for year in range(first.year, last_year + 1):
+        for season in (Season.SPRING, Season.FALL):
+            if ReleaseDate(year, season) >= first:
+                yield ReleaseDate(year, season)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    missing_fall=st.sampled_from([0.0, 0.3, 0.7]),
+    revised=st.booleans(),
+    fallback=st.sampled_from(list(FallbackRule)),
+)
+def test_panel_settled_truth_holds_from_its_release_on(seed, missing_fall, revised, fallback):
+    panel = vintage_panel(seed, 0.1, missing_fall, revised)
+    for mode in ("construction", "evaluation"):
+        truths = PanelTruthSelector(panel, TruthRule(fallback=fallback), mode=mode)
+        for year in range(1986, 2008):
+            found = truths.settled(TARGET, year)
+            if found is None:
+                assert (TARGET, year, ReleaseDate(year + 1, Season.FALL)) not in panel.realizations
+                continue
+            release, truth = found
+            assert [truths(TARGET, year, at) for at in _releases(release, 2009)] == [
+                truth for _ in _releases(release, 2009)
+            ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(gaps=st.lists(st.integers(0, 4 * 32 - 1), max_size=8))
+def test_quarterly_settled_truth_holds_from_its_release_on(gaps):
+    growth = {
+        (year, quarter): 0.1 * quarter + 0.01 * (year - 1975)
+        for year in range(1975, 2007) for quarter in (1, 2, 3, 4)
+    }
+    for gap in gaps:
+        growth.pop((1975 + gap // 4, gap % 4 + 1), None)
+    truths = QuarterlyTruthSelector({TARGET: QuarterlySeries(target=TARGET, growth=growth)})
+    for target in (TARGET, TargetId("ZZZ", "gdp")):
+        for year in range(1974, 2009):
+            release, truth = truths.settled(target, year)
+            assert [truths(target, year, at) for at in _releases(release, 2010)] == [
+                truth for _ in _releases(release, 2010)
+            ]
+
+
 def test_provider_rejects_windows_outside_its_range(small_panel):
     history = ErrorHistory(small_panel.forecast, PanelTruthSelector(small_panel), 11)
     origin = ReleaseDate(2020, Season.FALL)
@@ -327,3 +389,126 @@ def test_reimport_leaves_one_target_class_alive():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "1"
+
+
+class ParentErrorHistory:
+    """The error history as a per-origin walk: every truth selected again at
+    each origin, nothing shared across origins."""
+
+    def __init__(self, forecasts, truths, max_window):
+        self.forecasts = forecasts
+        self.truths = truths
+
+    def error_set(self, target, horizon, anchor_year, origin, method, window):
+        return scalar_error_set(
+            self.forecasts, self.truths, target, horizon,
+            anchor_year=anchor_year, origin=origin, window=window, method=method,
+        )
+
+
+def parent_build_grid(history, target, origin, config):
+    """Grid assembly with offsets built per level, then rebuilt after pooling
+    the columns by rescanning."""
+    cells, gaps = {}, []
+    for horizon, (forecast_origin, target_year) in outstanding_cells(origin).items():
+        point = history.forecasts(target, forecast_origin, target_year)
+        if point is None:
+            gaps.append(
+                f"{target.country}/{target.variable} {origin}: no {horizon.label} "
+                f"forecast for {target_year}"
+            )
+            continue
+        try:
+            errs = history.error_set(
+                target, horizon, target_year, origin, config.error_method, config.window
+            )
+        except InsufficientHistoryError as exc:
+            gaps.append(f"{target.country}/{target.variable} {origin} {horizon.label}: {exc}")
+            continue
+        cells[horizon] = GridCell(
+            point=point, target_year=target_year, forecast_origin=forecast_origin,
+            offsets={tau: scalar_offsets(errs, tau, config.quantile_method) for tau in config.levels},
+            source_years=errs.source_years, skipped_years=errs.skipped_years,
+        )
+    if not cells:
+        return None, gaps
+    horizons = [h for h in HORIZONS if h in cells]
+    if len(horizons) == 1:
+        return IntervalGrid(target=target, origin=origin, cells=cells, blocks=(1,)), gaps
+    corrected, blocks = rescanning_pool({
+        tau: ([cells[h].offsets[tau].lower for h in horizons],
+              [cells[h].offsets[tau].upper for h in horizons])
+        for tau in config.levels
+    })
+    pooled = {
+        h: GridCell(
+            point=cells[h].point, target_year=cells[h].target_year,
+            forecast_origin=cells[h].forecast_origin,
+            offsets={
+                tau: IntervalOffsets(corrected[tau][0][i], corrected[tau][1][i])
+                for tau in config.levels
+            },
+            source_years=cells[h].source_years, skipped_years=cells[h].skipped_years,
+        )
+        for i, h in enumerate(horizons)
+    }
+    return IntervalGrid(target=target, origin=origin, cells=pooled, blocks=blocks), gaps
+
+
+def _golden_inputs():
+    panel = vintage_panel(11, 0.05, 0.3, True, first=1958, last=2016)
+    # Forecasts equal to their truth give zero errors, ties and zero quantiles
+    # (-0.0 lower offsets under absolute errors) for pooling to handle.
+    for year in range(1962, 1990):
+        truth = panel.realizations.get((TARGET, year, ReleaseDate(year + 1, Season.FALL)))
+        for horizon in HORIZONS:
+            key = (TARGET, horizon.origin_for(year), year)
+            if truth is not None and key in panel.forecasts and year % 3:
+                panel.forecasts[key] = truth
+    rng = np.random.default_rng(5)
+    growth, x = {}, 0.5
+    for year in range(1950, 2018):
+        for quarter in (1, 2, 3, 4):
+            x = 0.3 + 0.5 * x + float(rng.normal(0.0, 0.4))
+            growth[(year, quarter)] = x
+    for gap in ((1985, 2), (1999, 4)):
+        del growth[gap]
+    return panel, {TARGET: QuarterlySeries(target=TARGET, growth=growth)}
+
+
+def _backtest_files(config, panel, quarterly, out_dir):
+    result = run_backtest(config, panel, quarterly=quarterly)
+    files = {}
+    for path in write_backtest_outputs(result, str(out_dir)):
+        with open(path, "rb") as fh:
+            files[os.path.basename(path)] = fh.read()
+    forecasts = [
+        produce_forecast(config, panel, ReleaseDate(year, season), quarterly=quarterly)
+        for year in (2005, 2010, 2016) for season in Season
+    ]
+    return files, forecasts
+
+
+@pytest.mark.parametrize("error_method, quantile_method, window", [
+    (ErrorMethod.DIRECTIONAL, QuantileMethod.INVERSE_ECDF, 20),
+    (ErrorMethod.ABSOLUTE, QuantileMethod.LINEAR, 24),
+])
+def test_backtest_and_forecasts_are_byte_identical_to_per_origin_path(
+    error_method, quantile_method, window, tmp_path, monkeypatch
+):
+    panel, quarterly = _golden_inputs()
+    config = RunConfig(
+        levels=tuple(round(0.1 * k, 1) for k in range(1, 10)),
+        error_method=error_method, quantile_method=quantile_method, window=window,
+        train_span=(1985, 2004), holdout_span=(2005, 2015), methods=("imf", "ar"),
+        generated_at="golden",
+    )
+    actual = _backtest_files(config, panel, quarterly, tmp_path / "actual")
+    monkeypatch.setattr(pipeline, "ErrorHistory", ParentErrorHistory)
+    monkeypatch.setattr(pipeline, "build_grid", parent_build_grid)
+    expected = _backtest_files(config, panel, quarterly, tmp_path / "expected")
+    assert actual == expected
+    rows = json.loads(actual[0]["audit.json"])
+    assert {row["method"] for row in rows} == {"imf", "ar"}
+    assert any(max(row["pava_blocks"]) > 1 for row in rows)
+    assert any(row["skipped_years"] for row in rows)

@@ -49,6 +49,14 @@ class TestParseForecastPanel:
                 "AAA,gdp,forecast,2020,F,2020,NA,NA,2.6",
             ])
 
+    def test_duplicate_realization_names_both_lines(self):
+        with pytest.raises(DuplicateRecordError, match=r"realization .* vintage 2021F at lines 2 and 4"):
+            parse([
+                "AAA,gdp,realization,NA,NA,2020,2021,F,2.5",
+                "AAA,gdp,realization,NA,NA,2020,2021,S,2.4",
+                "AAA,gdp,realization,NA,NA,2020,2021,F,2.6",
+            ])
+
     def test_na_rows_skipped_and_recorded(self):
         panel = parse([
             "AAA,gdp,forecast,2020,F,2020,NA,NA,NA",

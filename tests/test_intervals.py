@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, Season, TargetId
 from intervalcast.errorsets import ErrorMethod, ErrorSet
@@ -7,13 +9,11 @@ from intervalcast.intervals import (
     GridCell,
     IntervalGrid,
     IntervalOffsets,
-    _apply_blocks,
-    _is_symmetric,
-    _violates,
     enforce_horizon_monotonicity,
     interval_from_offsets,
     offsets_for,
     pool_adjacent_horizons,
+    pool_level_rows,
 )
 from intervalcast.quantile import QuantileMethod, empirical_quantile
 
@@ -186,6 +186,108 @@ def test_pava_random_properties(symmetric, rng):
             for tau in cols:
                 lo, up = corrected[tau]
                 assert lo == pytest.approx([-u for u in up], abs=1e-12)
+
+
+def _is_symmetric(columns):
+    return all(
+        lo == -up
+        for lows, ups in columns.values()
+        for lo, up in zip(lows, ups)
+    )
+
+
+def _violates(columns, blocks, r, symmetric):
+    """Whether adjacent blocks r, r+1 break the horizon ordering at any level."""
+
+    def block_mean(vals, members):
+        return sum(vals[i] for i in members) / len(members)
+
+    for lows, ups in columns.values():
+        if block_mean(ups, blocks[r]) > block_mean(ups, blocks[r + 1]):
+            return True
+        if not symmetric and block_mean(lows, blocks[r]) < block_mean(lows, blocks[r + 1]):
+            return True
+    return False
+
+
+def _apply_blocks(columns, blocks):
+    out = {}
+    for tau, (lows, ups) in columns.items():
+        new_lo = list(lows)
+        new_up = list(ups)
+        for members in blocks:
+            mlo = sum(lows[i] for i in members) / len(members)
+            mup = sum(ups[i] for i in members) / len(members)
+            for i in members:
+                new_lo[i] = mlo
+                new_up[i] = mup
+        out[tau] = (new_lo, new_up)
+    return out
+
+
+def rescanning_pool(columns):
+    """The rescanning form of the joint correction: every block mean summed
+    again at every level on each scan. The oracle for ``pool_level_rows``."""
+    cols = {tau: (list(lo), list(up)) for tau, (lo, up) in columns.items()}
+    n = len(next(iter(cols.values()))[0])
+    symmetric = _is_symmetric(cols)
+    blocks = [[i] for i in range(n)]
+    merged = True
+    while merged:
+        merged = False
+        for r in range(len(blocks) - 1):
+            if _violates(cols, blocks, r, symmetric):
+                blocks[r] = blocks[r] + blocks[r + 1]
+                del blocks[r + 1]
+                merged = True
+                break
+    return _apply_blocks(cols, blocks), tuple(len(b) for b in blocks)
+
+
+# Few distinct values, so ties and repeated block means are common; the
+# signed zeros check that pooling maps -0.0 to 0.0 exactly as the oracle.
+OFFSET = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 0.1, 0.2, 0.3]),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def level_columns(draw):
+    positions = draw(st.integers(1, 4))
+    levels = [round(0.1 * k, 1) for k in range(1, draw(st.integers(1, 9)) + 1)]
+    shape = draw(st.sampled_from(["symmetric", "asymmetric", "zero"]))
+    cols = {}
+    for tau in levels:
+        if shape == "zero":
+            lows = [draw(st.sampled_from([0.0, -0.0])) for _ in range(positions)]
+            ups = [draw(st.sampled_from([0.0, -0.0])) for _ in range(positions)]
+        else:
+            ups = draw(st.lists(OFFSET, min_size=positions, max_size=positions))
+            lows = (
+                [-u for u in ups] if shape == "symmetric"
+                else draw(st.lists(OFFSET, min_size=positions, max_size=positions))
+            )
+        cols[tau] = (lows, ups)
+    return cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(cols=level_columns())
+def test_row_pava_matches_rescanning_oracle_exactly(cols):
+    expected, expected_blocks = rescanning_pool(cols)
+    levels = list(cols)
+    lowers, uppers, blocks = pool_level_rows(
+        [[cols[tau][0][p] for tau in levels] for p in range(len(cols[levels[0]][0]))],
+        [[cols[tau][1][p] for tau in levels] for p in range(len(cols[levels[0]][0]))],
+    )
+    assert blocks == expected_blocks
+    for k, tau in enumerate(levels):
+        assert repr([row[k] for row in lowers]) == repr(expected[tau][0])
+        assert repr([row[k] for row in uppers]) == repr(expected[tau][1])
+    corrected, adapter_blocks = pool_adjacent_horizons(cols)
+    assert adapter_blocks == expected_blocks
+    assert repr(corrected) == repr(expected)
 
 
 def pool_adjacent_horizons_stack(columns):

@@ -143,6 +143,23 @@ class TestBuildGrid:
         assert grid is None
         assert gaps
 
+    def test_pooling_turns_negative_zero_offsets_into_zero(self):
+        # Exact forecasts: every absolute error is 0, so every lower offset is -0.0.
+        panel = make_panel(countries=("AAA",), sigmas={h: 0.0 for h in HORIZONS})
+        config = RunConfig()
+        origin = ReleaseDate(2020, Season.FALL)
+        history = ErrorHistory(panel.forecast, PanelTruthSelector(panel), config.window)
+        grid, _ = build_grid(history, TARGET, origin, config)
+        assert grid.blocks == (1, 1, 1, 1)
+        assert {repr(cell.offsets[tau].lower) for cell in grid.cells.values()
+                for tau in config.levels} == {"0.0"}
+        for horizon, (forecast_origin, year) in outstanding_cells(origin).items():
+            if horizon is not Horizon.FALL_CURRENT:
+                del panel.forecasts[(TARGET, forecast_origin, year)]
+        grid, _ = build_grid(history, TARGET, origin, config)
+        assert grid.blocks == (1,)
+        assert {repr(offs.lower) for offs in grid.cells[Horizon.FALL_CURRENT].offsets.values()} == {"-0.0"}
+
 
 def backtest_panel(n_countries=6, seed=5):
     countries = tuple(chr(ord("A") + i) * 3 for i in range(n_countries))

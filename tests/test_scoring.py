@@ -75,6 +75,14 @@ class TestWeightedIntervalScore:
         wts = WisWeights((0.5, 0.8))
         assert wts.weights == (0.25, pytest.approx(0.1))
 
+    def test_weights_and_total_computed_once(self):
+        wts = WisWeights((0.5, 0.8, 0.9))
+        assert wts.weights is wts.weights
+        assert wts.weights == ((1.0 - 0.5) / 2.0, (1.0 - 0.8) / 2.0, (1.0 - 0.9) / 2.0)
+        assert wts.total == sum(wts.weights)
+        assert wts == WisWeights((0.5, 0.8, 0.9))
+        assert hash(wts) == hash(WisWeights((0.5, 0.8, 0.9)))
+
     def test_two_level_example(self):
         intervals = {
             0.5: make_interval(0.5, -2.0, 2.0),
