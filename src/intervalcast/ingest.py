@@ -16,11 +16,14 @@ quarterly growth rates in percent.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, TextIO
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, TextIO
 
 from intervalcast.benchmark import QuarterlySeries
 from intervalcast.domain import (
@@ -68,59 +71,70 @@ class TruthRule:
     fallback: FallbackRule = FallbackRule.LATEST_AVAILABLE
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForecastPanel:
-    """Immutable-once-built store of point forecasts and realization vintages."""
+    """Read-only store of point forecasts, keyed (target, origin, target year),
+    and realization vintages, keyed (target, target year, vintage).
 
-    forecasts: dict[tuple[TargetId, ReleaseDate, int], float] = field(default_factory=dict)
-    realizations: dict[tuple[TargetId, int, ReleaseDate], float] = field(default_factory=dict)
+    The constructor copies both mappings once and exposes read-only views;
+    no attribute can be reassigned, so a variant is a new panel. The vintage
+    index and the input digest are built once, on first use.
+    """
+
+    forecasts: Mapping[tuple[TargetId, ReleaseDate, int], float]
+    realizations: Mapping[tuple[TargetId, int, ReleaseDate], float]
     source: str = ""
-    skipped: list[tuple[int, str]] = field(default_factory=list)
+    skipped: tuple[tuple[int, str], ...] = ()
+
+    def __post_init__(self) -> None:
+        # The hot path reads the private copies: a proxy lookup costs twice a dict's.
+        forecasts, realizations = dict(self.forecasts), dict(self.realizations)
+        object.__setattr__(self, "_forecasts", forecasts)
+        object.__setattr__(self, "_realizations", realizations)
+        object.__setattr__(self, "forecasts", MappingProxyType(forecasts))
+        object.__setattr__(self, "realizations", MappingProxyType(realizations))
+        object.__setattr__(self, "skipped", tuple(self.skipped))
 
     def forecast(self, target: TargetId, origin: ReleaseDate, target_year: int) -> Optional[float]:
-        return self.forecasts.get((target, origin, target_year))
+        return self._forecasts.get((target, origin, target_year))
 
     def vintages_for(self, target: TargetId, target_year: int) -> list[tuple[ReleaseDate, float]]:
-        return self._vintage_index().get((target, target_year), [])
+        return list(self._vintage_index.get((target, target_year), ()))
 
-    def _vintage_index(self) -> dict[tuple[TargetId, int], list[tuple[ReleaseDate, float]]]:
-        # Rebuilt whenever the number of realizations changes; truth selection
-        # is called once per error-set source year, so a linear scan per call
-        # would dominate the pipeline runtime.
-        cached_size = self.__dict__.get("_index_size")
-        if cached_size != len(self.realizations):
-            index: dict[tuple[TargetId, int], list[tuple[ReleaseDate, float]]] = {}
-            for (t, y, vintage), value in self.realizations.items():
-                index.setdefault((t, y), []).append((vintage, value))
-            for vintages in index.values():
-                vintages.sort(key=lambda pair: pair[0])
-            self.__dict__["_index"] = index
-            self.__dict__["_index_size"] = len(self.realizations)
-        return self.__dict__["_index"]
+    @cached_property
+    def _vintage_index(self) -> dict[tuple[TargetId, int], tuple[tuple[ReleaseDate, float], ...]]:
+        index: dict[tuple[TargetId, int], list[tuple[ReleaseDate, float]]] = {}
+        for (t, y, vintage), value in self._realizations.items():
+            index.setdefault((t, y), []).append((vintage, value))
+        return {key: tuple(sorted(pairs)) for key, pairs in index.items()}
+
+    @cached_property
+    def content_tag(self) -> str:
+        """The ``generated_at`` tag of forecast files: ``input-`` and 16 hex
+        digits of the SHA-256 of the canonical CSV."""
+        digest = hashlib.sha256(self.to_canonical_csv().encode("utf-8")).hexdigest()
+        return f"input-{digest[:16]}"
 
     def countries(self) -> list[str]:
-        return sorted({t.country for (t, _, _) in self.forecasts})
+        return sorted({t.country for (t, _, _) in self._forecasts})
 
     def variables(self) -> list[str]:
-        return sorted({t.variable for (t, _, _) in self.forecasts})
+        return sorted({t.variable for (t, _, _) in self._forecasts})
 
     def max_vintage(self) -> Optional[ReleaseDate]:
-        vintages = [v for (_, _, v) in self.realizations]
+        vintages = [v for (_, _, v) in self._realizations]
         return max(vintages) if vintages else None
 
-    def until_vintage(self, cutoff: ReleaseDate) -> "ForecastPanel":
-        """Span-scoped view: drop forecasts and vintages after ``cutoff``.
-
-        Used to keep tuning from ever touching hold-out data.
-        """
-        view = ForecastPanel(source=f"{self.source} (<= {cutoff})")
-        view.forecasts = {
-            key: value for key, value in self.forecasts.items() if key[1] <= cutoff
-        }
-        view.realizations = {
-            key: value for key, value in self.realizations.items() if key[2] <= cutoff
-        }
-        return view
+    def until_vintage(self, cutoff: ReleaseDate, last_origin_year: int) -> "ForecastPanel":
+        """A new panel of the forecasts from origins up to ``cutoff`` and in
+        or before ``last_origin_year``, and the vintages up to ``cutoff``:
+        tuning's view, which holds no hold-out data."""
+        last_origin = min(cutoff, ReleaseDate(last_origin_year, Season.FALL))
+        return ForecastPanel(
+            {key: value for key, value in self._forecasts.items() if key[1] <= last_origin},
+            {key: value for key, value in self._realizations.items() if key[2] <= cutoff},
+            source=f"{self.source} (<= {cutoff})",
+        )
 
     def to_canonical_csv(self) -> str:
         """Stable serialization: sorted rows, fixed numeric formatting."""
@@ -129,7 +143,7 @@ class ForecastPanel:
         writer.writerow(FORECAST_HEADER)
         forecast_rows = sorted(
             (t.country, t.variable, origin.year, origin.season.value, year, value)
-            for (t, origin, year), value in self.forecasts.items()
+            for (t, origin, year), value in self._forecasts.items()
         )
         for country, variable, oy, os_, ty, value in forecast_rows:
             writer.writerow(
@@ -137,7 +151,7 @@ class ForecastPanel:
             )
         realization_rows = sorted(
             (t.country, t.variable, year, vintage.year, vintage.season.value, value)
-            for (t, year, vintage), value in self.realizations.items()
+            for (t, year, vintage), value in self._realizations.items()
         )
         for country, variable, ty, vy, vs, value in realization_rows:
             writer.writerow(
@@ -185,7 +199,9 @@ def parse_forecast_panel(stream: TextIO, source: str = "") -> ForecastPanel:
     except StopIteration:
         raise SchemaMismatchError("schema mismatch: empty file") from None
     _check_header(header, FORECAST_HEADER)
-    panel = ForecastPanel(source=source)
+    forecasts: dict[tuple[TargetId, ReleaseDate, int], float] = {}
+    realizations: dict[tuple[TargetId, int, ReleaseDate], float] = {}
+    skipped: list[tuple[int, str]] = []
     # The first line of each forecast and realization key.
     seen: dict[object, int] = {}
     for line, row in enumerate(reader, start=2):
@@ -198,7 +214,7 @@ def parse_forecast_panel(stream: TextIO, source: str = "") -> ForecastPanel:
         country, variable, kind, oy, os_, ty, vy, vs, value_token = [c.strip() for c in row]
         value = _parse_value(value_token, line)
         if value is None:
-            panel.skipped.append((line, "missing value"))
+            skipped.append((line, "missing value"))
             continue
         target = TargetId(country=country, variable=variable)
         target_year = _parse_int(ty, line, "target_year")
@@ -206,11 +222,11 @@ def parse_forecast_panel(stream: TextIO, source: str = "") -> ForecastPanel:
             origin = ReleaseDate(_parse_int(oy, line, "origin_year"), Season.parse(os_))
             # The records validate the horizon and the vintage year.
             ForecastRecord(target=target, origin=origin, target_year=target_year, value=value)
-            key, store = (target, origin, target_year), panel.forecasts
+            key, store = (target, origin, target_year), forecasts
         elif kind == "realization":
             vintage = ReleaseDate(_parse_int(vy, line, "vintage_year"), Season.parse(vs))
             RealizationVintage(target=target, target_year=target_year, vintage=vintage, value=value)
-            key, store = (target, target_year, vintage), panel.realizations
+            key, store = (target, target_year, vintage), realizations
         else:
             raise SchemaMismatchError(f"line {line}: unknown kind {kind!r}")
         first = seen.setdefault(key, line)
@@ -222,7 +238,7 @@ def parse_forecast_panel(stream: TextIO, source: str = "") -> ForecastPanel:
             )
             raise DuplicateRecordError(f"duplicate record: {what} at lines {first} and {line}")
         store[key] = value
-    return panel
+    return ForecastPanel(forecasts, realizations, source=source, skipped=skipped)
 
 
 def select_truth(
@@ -246,7 +262,7 @@ def select_truth(
     # The fall release after the target year, once dated at or before
     # ``as_of``, is the truth whatever else is out; read it directly.
     fall_after = ReleaseDate(target_year + 1, Season.FALL)
-    settled = panel.realizations.get((target, target_year, fall_after))
+    settled = panel._realizations.get((target, target_year, fall_after))
     if settled is not None and fall_after <= as_of:
         return settled
     available = {v: val for v, val in panel.vintages_for(target, target_year) if v <= as_of}
@@ -288,7 +304,7 @@ class PanelTruthSelector:
         """The fall release after ``year`` and its value, which ``select_truth``
         takes first in both modes once out; None when the panel lacks it."""
         fall_after = ReleaseDate(year + 1, Season.FALL)
-        truth = self.panel.realizations.get((target, year, fall_after))
+        truth = self.panel._realizations.get((target, year, fall_after))
         return None if truth is None else (fall_after, truth)
 
 

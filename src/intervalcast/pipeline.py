@@ -10,7 +10,6 @@ are scored, so each forecast is scored exactly once.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import csv
@@ -46,6 +45,7 @@ from intervalcast.errorsets import (
     year_error,
 )
 from intervalcast.ingest import (
+    FallbackRule,
     ForecastPanel,
     PanelTruthSelector,
     TruthRule,
@@ -138,33 +138,39 @@ def load_config(path: Optional[str] = None, **overrides: object) -> RunConfig:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     kwargs: dict[str, object] = {}
     for key, value in raw.items():
-        if key == "levels":
-            kwargs[key] = tuple(float(v) for v in value)  # type: ignore[union-attr]
-        elif key == "error_method":
-            kwargs[key] = value if isinstance(value, ErrorMethod) else ErrorMethod.parse(str(value))
-        elif key == "quantile_method":
-            kwargs[key] = (
-                value if isinstance(value, QuantileMethod) else QuantileMethod.parse(str(value))
-            )
-        elif key in ("train_span", "holdout_span"):
-            kwargs[key] = parse_span(value) if isinstance(value, str) else tuple(value)  # type: ignore[arg-type]
-        elif key == "methods":
-            kwargs[key] = tuple(value) if not isinstance(value, str) else tuple(value.split(","))
-        elif key == "exclude":
-            if isinstance(value, str):
-                value = [v for v in value.split(",") if v]
-            kwargs[key] = parse_exclusions(value)  # type: ignore[arg-type]
-        elif key == "eval_as_of":
-            if isinstance(value, ReleaseDate) or value is None:
-                kwargs[key] = value
-            else:
-                token = str(value)
-                kwargs[key] = ReleaseDate(int(token[:-1]), Season.parse(token[-1]))
-        elif key == "window":
-            kwargs[key] = int(value)  # type: ignore[arg-type]
-        else:
-            kwargs[key] = value
+        try:
+            kwargs[key] = _config_value(key, value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad config value for {key}: {exc}") from None
     return RunConfig(**kwargs)  # type: ignore[arg-type]
+
+
+def _config_value(key: str, value: object) -> object:
+    """The ``RunConfig`` value of one config key, from JSON or a flag."""
+    if key == "levels":
+        return tuple(float(v) for v in value)  # type: ignore[union-attr]
+    if key == "error_method":
+        return value if isinstance(value, ErrorMethod) else ErrorMethod.parse(str(value))
+    if key == "quantile_method":
+        return value if isinstance(value, QuantileMethod) else QuantileMethod.parse(str(value))
+    if key in ("train_span", "holdout_span"):
+        return parse_span(value) if isinstance(value, str) else tuple(value)  # type: ignore[arg-type]
+    if key == "methods":
+        return tuple(value.split(",") if isinstance(value, str) else value)  # type: ignore[arg-type]
+    if key == "exclude":
+        if isinstance(value, str):
+            value = [v for v in value.split(",") if v]
+        return parse_exclusions(value)  # type: ignore[arg-type]
+    if key == "eval_as_of":
+        if isinstance(value, ReleaseDate) or value is None:
+            return value
+        token = str(value)
+        return ReleaseDate(int(token[:-1]), Season.parse(token[-1]))
+    if key == "truth_rule":
+        return value if isinstance(value, TruthRule) else TruthRule(FallbackRule(value))
+    if key in ("window", "ar_min_obs") or (key == "ar_window" and value is not None):
+        return int(value)  # type: ignore[arg-type]
+    return value
 
 
 def outstanding_cells(origin: ReleaseDate) -> dict[Horizon, tuple[ReleaseDate, int]]:
@@ -566,20 +572,6 @@ class TuningReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    def cell(
-        self, window: int, error_method: str, quantile_method: str, variable: str, horizon: str
-    ) -> Optional[TuningRow]:
-        for row in self.rows:
-            if (
-                row.window == window
-                and row.error_method == error_method
-                and row.quantile_method == quantile_method
-                and row.variable == variable
-                and row.horizon == horizon
-            ):
-                return row
-        return None
-
 
 def run_tuning(
     config: RunConfig,
@@ -597,10 +589,7 @@ def run_tuning(
         raise ValueError("tuning grid must be nonempty")
     t0, t1 = config.train_span
     cutoff = ReleaseDate(t1 + 1, Season.FALL)
-    view = panel.until_vintage(cutoff)
-    view.forecasts = {
-        key: value for key, value in view.forecasts.items() if key[1].year <= t1
-    }
+    view = panel.until_vintage(cutoff, t1)
     truths = PanelTruthSelector(view, config.truth_rule, mode="construction")
     history = ErrorHistory(view.forecast, truths, max(w for w, _, _ in grid))
     targets = _targets(view)
@@ -696,9 +685,9 @@ def produce_forecast(
 
     Returns the CSV text and the list of gaps (cells that could not be
     produced). Deterministic given identical inputs: the ``generated_at`` tag
-    defaults to a digest of the panel content.
+    defaults to the panel's ``content_tag``, a digest computed once per panel.
     """
-    tag = config.generated_at or _content_tag(panel)
+    tag = config.generated_at or panel.content_tag
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(FORECAST_FILE_HEADER)
@@ -730,11 +719,6 @@ def produce_forecast(
                         ]
                     )
     return buf.getvalue(), gaps
-
-
-def _content_tag(panel: ForecastPanel) -> str:
-    digest = hashlib.sha256(panel.to_canonical_csv().encode("utf-8")).hexdigest()
-    return f"input-{digest[:16]}"
 
 
 def write_backtest_outputs(result: BacktestResult, out_dir: str) -> list[str]:

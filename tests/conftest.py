@@ -35,7 +35,7 @@ def make_panel(
     unrevised realization vintages at spring and fall of the following year."""
     sigmas = dict(DEFAULT_SIGMAS if sigmas is None else sigmas)
     rng = np.random.default_rng(seed)
-    panel = ForecastPanel(source="synthetic")
+    forecasts, realizations = {}, {}
     for country in countries:
         for variable in variables:
             target = TargetId(country=country, variable=variable)
@@ -46,12 +46,41 @@ def make_panel(
                     if not first_year <= origin.year <= last_year:
                         continue
                     err = float(rng.normal(0.0, sigmas[horizon]))
-                    panel.forecasts[(target, origin, year)] = truth - err
+                    forecasts[(target, origin, year)] = truth - err
                 if year > last_year:
                     continue
                 for season in (Season.SPRING, Season.FALL):
-                    panel.realizations[(target, year, ReleaseDate(year + 1, season))] = truth
-    return panel
+                    realizations[(target, year, ReleaseDate(year + 1, season))] = truth
+    return ForecastPanel(forecasts, realizations, source="synthetic")
+
+
+def without(panel, forecasts=(), realizations=()) -> ForecastPanel:
+    """A copy of ``panel`` without the given forecast and realization keys,
+    each of which it must hold."""
+    forecasts, realizations = set(forecasts), set(realizations)
+    for keys, mapping in ((forecasts, panel.forecasts), (realizations, panel.realizations)):
+        missing = [key for key in keys if key not in mapping]
+        if missing:
+            raise KeyError(missing)
+    return ForecastPanel(
+        {k: v for k, v in panel.forecasts.items() if k not in forecasts},
+        {k: v for k, v in panel.realizations.items() if k not in realizations},
+        source=panel.source,
+        skipped=panel.skipped,
+    )
+
+
+def tuning_cell(report, window, error_method, quantile_method, variable, horizon):
+    """The tuning row of one grid point and (variable, horizon) cell, or None."""
+    wanted = (window, error_method, quantile_method, variable, horizon)
+    return next(
+        (
+            row for row in report.rows
+            if (row.window, row.error_method, row.quantile_method, row.variable, row.horizon)
+            == wanted
+        ),
+        None,
+    )
 
 
 @pytest.fixture

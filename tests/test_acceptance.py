@@ -313,7 +313,7 @@ def test_criterion_7_published_value_reproduction():
     ok = True
     details = []
     for method, (wis, coverages) in expected.items():
-        row = report.cell(11, method, "type7", "gdp", "fall-current")
+        row = conftest.tuning_cell(report, 11, method, "type7", "gdp", "fall-current")
         if row is None or row.mean_wis is None:
             ok = False
             continue

@@ -4,8 +4,9 @@ import json
 import pytest
 
 from intervalcast.cli import main
+from intervalcast.domain import ReleaseDate, Season, TargetId
 
-from conftest import make_panel
+from conftest import make_panel, without
 
 
 @pytest.fixture
@@ -68,6 +69,24 @@ class TestBacktest:
         report = json.loads((out / "report.json").read_text())
         assert report["levels"] == [0.5]
         assert not any(r["country"] == "AAA" for r in report["rows"])
+
+
+    def test_truth_rule_from_config(self, tmp_path):
+        # Without 2015's fall release, no truth for 2015 is admissible under
+        # the "none" fallback: its cells become gaps instead of a crash.
+        panel = without(make_panel(countries=("AAA",)), realizations=[
+            (TargetId("AAA", "gdp"), 2015, ReleaseDate(2016, Season.FALL)),
+        ])
+        path = tmp_path / "panel.csv"
+        path.write_text(panel.to_canonical_csv())
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"truth_rule": "none", "ar_window": "8"}))
+        out = tmp_path / "out"
+        code = main(["backtest", "--config", str(config), "--data", str(path),
+                     "--out", str(out)])
+        assert code == 2
+        gaps = json.loads((out / "gaps.json").read_text())
+        assert any("AAA/gdp 2015" in gap and "no admissible vintage" in gap for gap in gaps)
 
 
 class TestTune:
@@ -138,6 +157,17 @@ class TestBadInput:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         self._assert_one_line_error(capsys, "unknown config key", "windw")
+
+    @pytest.mark.parametrize("key, value", [
+        ("truth_rule", "latest"), ("ar_window", "eight"), ("ar_min_obs", [20]),
+    ])
+    def test_bad_config_value_exits_one(self, panel_path, tmp_path, capsys, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code = main(["backtest", "--config", str(config), "--data", panel_path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        self._assert_one_line_error(capsys, "bad config value", key)
 
     def test_malformed_audit_exits_one(self, tmp_path, capsys):
         audit = tmp_path / "audit.json"

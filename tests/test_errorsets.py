@@ -11,7 +11,7 @@ from intervalcast.errorsets import (
 )
 from intervalcast.ingest import PanelTruthSelector
 
-from conftest import make_panel
+from conftest import make_panel, without
 
 TARGET = TargetId("AAA", "gdp")
 
@@ -108,9 +108,8 @@ def test_rolling_window_shifts_by_at_most_one_year():
 
 
 def test_missing_year_substitution_is_recorded():
-    panel = make_panel(first_year=1990, last_year=2023)
     missing = (TARGET, ReleaseDate(2018, Season.FALL), 2018)
-    del panel.forecasts[missing]
+    panel = without(make_panel(first_year=1990, last_year=2023), forecasts=[missing])
     errs = build(
         panel, Horizon.FALL_CURRENT,
         anchor_year=2023, origin=ReleaseDate(2023, Season.FALL), window=11,

@@ -48,7 +48,7 @@ from intervalcast.pipeline import (
 )
 from intervalcast.quantile import QuantileMethod, empirical_quantile
 
-from conftest import make_panel
+from conftest import make_panel, without
 from test_intervals import rescanning_pool
 
 TARGET = TargetId("AAA", "gdp")
@@ -98,10 +98,10 @@ def scalar_offsets(errs, tau, qmethod):
     )
 
 
-def _drop(mapping: dict, picks: list[int]) -> None:
+def _picked(mapping, picks: list[int]) -> set:
+    """The keys of ``mapping`` at the picked positions."""
     keys = list(mapping)
-    for pick in picks:
-        mapping.pop(keys[pick % len(keys)], None)
+    return {keys[pick % len(keys)] for pick in picks}
 
 
 def _cells(first: int, last: int):
@@ -119,13 +119,13 @@ def vintage_panel(seed, missing_forecast, missing_fall, revised, first=1988, las
     missing (so truths fall back to another vintage), and revisions: spring,
     fall and a second fall release each carry their own value."""
     rng = np.random.default_rng(seed)
-    panel = ForecastPanel(source="vintages")
+    forecasts, realizations = {}, {}
     for year in range(first, last + 2):
         truth = float(rng.normal(2.0, 1.0))
         for horizon in HORIZONS:
             origin = horizon.origin_for(year)
             if first <= origin.year <= last and rng.random() >= missing_forecast:
-                panel.forecasts[(TARGET, origin, year)] = truth - float(
+                forecasts[(TARGET, origin, year)] = truth - float(
                     rng.normal(0.0, 0.5 + 0.25 * horizon.index)
                 )
         vintages = (
@@ -139,8 +139,8 @@ def vintage_panel(seed, missing_forecast, missing_fall, revised, first=1988, las
             if vintage == vintages[1] and rng.random() < missing_fall:
                 continue
             revision = float(rng.normal(0.0, 0.3)) if revised else 0.0
-            panel.realizations[(TARGET, year, vintage)] = truth + revision
-    return panel
+            realizations[(TARGET, year, vintage)] = truth + revision
+    return ForecastPanel(forecasts, realizations, source="vintages")
 
 
 def assert_provider_matches_scalar(forecasts, truths, max_window, first, last):
@@ -174,9 +174,12 @@ def assert_provider_matches_scalar(forecasts, truths, max_window, first, last):
 def test_provider_serves_prefixes_of_per_window_builds(
     seed, drop_forecasts, drop_vintages, max_window
 ):
-    panel = make_panel(countries=("AAA",), first_year=1990, last_year=2004, seed=seed)
-    _drop(panel.forecasts, drop_forecasts)
-    _drop(panel.realizations, drop_vintages)
+    full = make_panel(countries=("AAA",), first_year=1990, last_year=2004, seed=seed)
+    panel = without(
+        full,
+        forecasts=_picked(full.forecasts, drop_forecasts),
+        realizations=_picked(full.realizations, drop_vintages),
+    )
     assert_provider_matches_scalar(
         panel.forecast, PanelTruthSelector(panel), max_window, 1994, 2004
     )
@@ -283,10 +286,13 @@ def reference_tuning(config, panel, grid) -> TuningReport:
     window of the feasibility check and again for each grid point."""
     t0, t1 = config.train_span
     cutoff = ReleaseDate(t1 + 1, Season.FALL)
-    view = panel.until_vintage(cutoff)
-    view.forecasts = {
-        key: value for key, value in view.forecasts.items() if key[1].year <= t1
-    }
+    view = ForecastPanel(
+        {
+            key: value for key, value in panel.forecasts.items()
+            if key[1] <= cutoff and key[1].year <= t1
+        },
+        {key: value for key, value in panel.realizations.items() if key[2] <= cutoff},
+    )
     truths = PanelTruthSelector(view, config.truth_rule, mode="construction")
     all_windows = sorted({w for w, _, _ in grid})
     report = TuningReport(levels=config.levels)
@@ -338,11 +344,14 @@ def reference_tuning(config, panel, grid) -> TuningReport:
 
 
 def _gappy_panel():
-    panel = make_panel(countries=("AAA",), variables=("gdp", "cpi"), seed=7)
-    del panel.forecasts[(TARGET, ReleaseDate(2003, Season.FALL), 2003)]
-    del panel.forecasts[(TargetId("AAA", "cpi"), ReleaseDate(1998, Season.SPRING), 1999)]
-    del panel.realizations[(TARGET, 2006, ReleaseDate(2007, Season.FALL))]
-    return panel
+    return without(
+        make_panel(countries=("AAA",), variables=("gdp", "cpi"), seed=7),
+        forecasts=[
+            (TARGET, ReleaseDate(2003, Season.FALL), 2003),
+            (TargetId("AAA", "cpi"), ReleaseDate(1998, Season.SPRING), 1999),
+        ],
+        realizations=[(TARGET, 2006, ReleaseDate(2007, Season.FALL))],
+    )
 
 
 DEFAULT_GRID = [
@@ -456,15 +465,17 @@ def parent_build_grid(history, target, origin, config):
 
 
 def _golden_inputs():
-    panel = vintage_panel(11, 0.05, 0.3, True, first=1958, last=2016)
+    vintaged = vintage_panel(11, 0.05, 0.3, True, first=1958, last=2016)
+    forecasts = dict(vintaged.forecasts)
     # Forecasts equal to their truth give zero errors, ties and zero quantiles
     # (-0.0 lower offsets under absolute errors) for pooling to handle.
     for year in range(1962, 1990):
-        truth = panel.realizations.get((TARGET, year, ReleaseDate(year + 1, Season.FALL)))
+        truth = vintaged.realizations.get((TARGET, year, ReleaseDate(year + 1, Season.FALL)))
         for horizon in HORIZONS:
             key = (TARGET, horizon.origin_for(year), year)
-            if truth is not None and key in panel.forecasts and year % 3:
-                panel.forecasts[key] = truth
+            if truth is not None and key in forecasts and year % 3:
+                forecasts[key] = truth
+    panel = ForecastPanel(forecasts, vintaged.realizations, source=vintaged.source)
     rng = np.random.default_rng(5)
     growth, x = {}, 0.5
     for year in range(1950, 2018):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -39,7 +40,7 @@ class TestParseForecastPanel:
         assert panel.forecast(TARGET, ReleaseDate(2020, Season.FALL), 2020) == 2.5
         assert panel.forecast(TARGET, ReleaseDate(2020, Season.FALL), 2021) == 1.75
         assert panel.vintages_for(TARGET, 2020) == [(ReleaseDate(2021, Season.FALL), 2.1)]
-        assert panel.skipped == []
+        assert panel.skipped == ()
 
     def test_duplicate_names_both_lines(self):
         with pytest.raises(DuplicateRecordError, match=r"lines 2 and 4"):
@@ -62,7 +63,7 @@ class TestParseForecastPanel:
             "AAA,gdp,forecast,2020,F,2020,NA,NA,NA",
             "AAA,gdp,forecast,2020,F,2021,NA,NA,1.0",
         ])
-        assert panel.skipped == [(2, "missing value")]
+        assert panel.skipped == ((2, "missing value"),)
         assert len(panel.forecasts) == 1
 
     def test_schema_mismatch(self):
@@ -86,10 +87,62 @@ class TestParseForecastPanel:
     def test_until_vintage_restricts_both_sides(self):
         panel = make_panel(countries=("AAA",), first_year=1990, last_year=2023)
         cutoff = ReleaseDate(2013, Season.FALL)
-        view = panel.until_vintage(cutoff)
+        view = panel.until_vintage(cutoff, 2012)
         assert all(origin <= cutoff for (_, origin, _) in view.forecasts)
+        assert max(origin.year for (_, origin, _) in view.forecasts) == 2012
         assert all(v <= cutoff for (_, _, v) in view.realizations)
         assert view.max_vintage() == cutoff
+
+
+class TestReadOnlyPanel:
+    FORECAST = (TARGET, ReleaseDate(2020, Season.FALL), 2020)
+    SPRING, FALL = ReleaseDate(2021, Season.SPRING), ReleaseDate(2021, Season.FALL)
+
+    def make(self):
+        forecasts = {self.FORECAST: 2.5}
+        # Inserted out of release order: the index sorts them.
+        realizations = {(TARGET, 2020, self.FALL): 2.1, (TARGET, 2020, self.SPRING): 1.9}
+        return ForecastPanel(forecasts, realizations, source="s"), forecasts, realizations
+
+    def test_item_assignment_and_deletion_raise(self):
+        panel, _, _ = self.make()
+        with pytest.raises(TypeError):
+            panel.forecasts[self.FORECAST] = 99.0
+        with pytest.raises(TypeError):
+            del panel.forecasts[self.FORECAST]
+        with pytest.raises(TypeError):
+            panel.realizations[(TARGET, 2020, self.FALL)] = 99.0
+        with pytest.raises(TypeError):
+            del panel.realizations[(TARGET, 2020, self.FALL)]
+        assert panel.vintages_for(TARGET, 2020) == [(self.SPRING, 1.9), (self.FALL, 2.1)]
+
+    def test_attribute_reassignment_raises(self):
+        panel, forecasts, realizations = self.make()
+        for name, value in (("forecasts", forecasts), ("realizations", realizations),
+                            ("source", "t"), ("skipped", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(panel, name, value)
+
+    def test_vintages_follow_the_constructor_data_not_the_callers_dicts(self):
+        panel, forecasts, realizations = self.make()
+        assert panel.vintages_for(TARGET, 2020) == [(self.SPRING, 1.9), (self.FALL, 2.1)]
+        # The constructor copied both mappings: later edits of the caller's
+        # dicts reach neither the lookups nor the vintage index.
+        realizations[(TARGET, 2020, self.FALL)] = 99.0
+        realizations[(TARGET, 2020, ReleaseDate(2022, Season.FALL))] = 98.0
+        forecasts[self.FORECAST] = 97.0
+        assert panel.vintages_for(TARGET, 2020) == [(self.SPRING, 1.9), (self.FALL, 2.1)]
+        assert panel.forecast(*self.FORECAST) == 2.5
+        assert select_truth(panel, TARGET, 2020, ReleaseDate(2023, Season.FALL)) == 2.1
+        assert panel.vintages_for(TARGET, 2019) == []
+
+    def test_until_vintage_keeps_cutoff_below_last_origin_year(self):
+        panel = make_panel(countries=("AAA",), first_year=1990, last_year=2023)
+        cutoff = ReleaseDate(2013, Season.SPRING)
+        view = panel.until_vintage(cutoff, 2013)
+        assert max(origin for (_, origin, _) in view.forecasts) == cutoff
+        assert view.max_vintage() == cutoff
+        assert len(panel.forecasts) > len(view.forecasts)
 
 
 class TestSelectTruth:
@@ -170,12 +223,11 @@ RELEASES = [ReleaseDate(y, s) for y in range(2008, 2015) for s in Season]
     fallback=st.sampled_from(list(FallbackRule)),
 )
 def test_select_truth_follows_documented_rule(picks, other_year, as_of, mode, fallback):
-    panel = ForecastPanel()
     vintages = {v: float(i) for i, v in enumerate(picks)}
-    for vintage, value in vintages.items():
-        panel.realizations[(TARGET, 2010, vintage)] = value
+    realizations = {(TARGET, 2010, vintage): value for vintage, value in vintages.items()}
     for vintage in other_year:  # another target year's vintages must not leak in
-        panel.realizations[(TARGET, 2011, vintage)] = -1.0
+        realizations[(TARGET, 2011, vintage)] = -1.0
+    panel = ForecastPanel({}, realizations)
     expected = truth_rule_oracle(vintages, 2010, as_of, mode, fallback)
     rule = TruthRule(fallback=fallback)
     if expected is None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from intervalcast.benchmark import QuarterlySeries
 from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, Season, TargetId
 from intervalcast.errorsets import ErrorMethod
-from intervalcast.ingest import ForecastPanel, PanelTruthSelector
+from intervalcast.ingest import FallbackRule, ForecastPanel, PanelTruthSelector, TruthRule
 from intervalcast.pipeline import (
     ErrorHistory,
     RunConfig,
@@ -23,7 +24,7 @@ from intervalcast.pipeline import (
 )
 from intervalcast.quantile import QuantileMethod
 
-from conftest import make_panel
+from conftest import make_panel, tuning_cell, without
 
 TARGET = TargetId("AAA", "gdp")
 
@@ -79,6 +80,16 @@ class TestConfig:
         assert config.levels == (0.5, 0.8)
         assert config.methods == ("imf",)
 
+    def test_load_config_converts_truth_rule_and_ar_settings(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"truth_rule": "none", "ar_min_obs": "12", "ar_window": "8"}))
+        config = load_config(str(path))
+        assert config.truth_rule == TruthRule(FallbackRule.NONE)
+        assert (config.ar_min_obs, config.ar_window) == (12, 8)
+        path.write_text(json.dumps({"ar_window": None}))
+        assert load_config(str(path)).ar_window is None
+        assert load_config(None, truth_rule=TruthRule()).truth_rule == TruthRule()
+
     def test_load_config_rejects_unknown_keys_by_name(self):
         with pytest.raises(ValueError, match="unknown config key.*quantile, windw"):
             load_config(None, windw=9, quantile="type1")
@@ -127,10 +138,10 @@ class TestBuildGrid:
             assert all(a <= b + 1e-12 for a, b in zip(lengths, lengths[1:]))
 
     def test_missing_forecast_becomes_gap(self, small_panel):
-        del small_panel.forecasts[(TARGET, ReleaseDate(2020, Season.SPRING), 2021)]
+        panel = without(small_panel, forecasts=[(TARGET, ReleaseDate(2020, Season.SPRING), 2021)])
         config = RunConfig()
-        truths = PanelTruthSelector(small_panel)
-        history = ErrorHistory(small_panel.forecast, truths, config.window)
+        truths = PanelTruthSelector(panel)
+        history = ErrorHistory(panel.forecast, truths, config.window)
         grid, gaps = build_grid(history, TARGET, ReleaseDate(2020, Season.FALL), config)
         assert Horizon.SPRING_NEXT not in grid.cells
         assert len(gaps) == 1 and "spring-next" in gaps[0]
@@ -153,9 +164,12 @@ class TestBuildGrid:
         assert grid.blocks == (1, 1, 1, 1)
         assert {repr(cell.offsets[tau].lower) for cell in grid.cells.values()
                 for tau in config.levels} == {"0.0"}
-        for horizon, (forecast_origin, year) in outstanding_cells(origin).items():
-            if horizon is not Horizon.FALL_CURRENT:
-                del panel.forecasts[(TARGET, forecast_origin, year)]
+        panel = without(panel, forecasts=[
+            (TARGET, forecast_origin, year)
+            for horizon, (forecast_origin, year) in outstanding_cells(origin).items()
+            if horizon is not Horizon.FALL_CURRENT
+        ])
+        history = ErrorHistory(panel.forecast, PanelTruthSelector(panel), config.window)
         grid, _ = build_grid(history, TARGET, origin, config)
         assert grid.blocks == (1,)
         assert {repr(offs.lower) for offs in grid.cells[Horizon.FALL_CURRENT].offsets.values()} == {"-0.0"}
@@ -276,7 +290,7 @@ class TestRunTuning:
         panel = backtest_panel(2)
         report = run_tuning(RunConfig(), panel, self.GRID)
         assert len(report.rows) == len(self.GRID) * 1 * 4
-        row = report.cell(11, "absolute", "type7", "gdp", "fall-current")
+        row = tuning_cell(report, 11, "absolute", "type7", "gdp", "fall-current")
         assert row is not None and row.feasible and row.n > 0
 
     def test_comparable_cells_share_sample_size(self):
@@ -360,6 +374,32 @@ class TestProduceForecast:
         tag_reduced = reduced.splitlines()[1].rsplit(",", 1)[1]
         assert tag_full != tag_reduced
         assert tag_full.startswith("input-")
+
+    def test_panel_is_serialized_once_for_repeated_forecasts(self, monkeypatch):
+        calls = []
+        serialize = ForecastPanel.to_canonical_csv
+
+        def counted(panel):
+            calls.append(panel)
+            return serialize(panel)
+
+        monkeypatch.setattr(ForecastPanel, "to_canonical_csv", counted)
+        panel = self.seven_country_panel()
+        texts = [
+            produce_forecast(RunConfig(), panel, ReleaseDate(year, season))[0]
+            for year in (2022, 2023) for season in Season
+        ]
+        assert len(calls) == 1
+        assert len({text.splitlines()[1].rsplit(",", 1)[1] for text in texts}) == 1
+
+    def test_generated_at_is_the_digest_of_the_canonical_csv(self):
+        panel = make_panel(countries=("AAA", "BBB"), variables=("gdp", "cpi"), seed=3)
+        text, _ = produce_forecast(RunConfig(), panel, ReleaseDate(2023, Season.FALL))
+        digest = hashlib.sha256(panel.to_canonical_csv().encode("utf-8")).hexdigest()
+        tags = {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]}
+        assert tags == {"input-" + digest[:16]}
+        # The tag as earlier releases wrote it for this panel.
+        assert tags == {"input-7f60323c4dd5d6fb"}
 
     def test_explicit_generated_at_used_verbatim(self):
         panel = self.seven_country_panel()
