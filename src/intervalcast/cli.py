@@ -77,10 +77,7 @@ def _load_quarterly(path: Optional[str]):
 
 
 def _load_external(path: Optional[str]) -> Optional[ForecastPanel]:
-    if not path:
-        return None
-    with open(path, encoding="utf-8", newline="") as fh:
-        return parse_forecast_panel(fh, source=path)
+    return _load_panel(path) if path else None
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:

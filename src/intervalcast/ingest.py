@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, TextIO
+from typing import Iterable, Iterator, Mapping, Optional, TextIO
 
 from intervalcast.benchmark import QuarterlySeries
 from intervalcast.domain import (
@@ -160,7 +160,10 @@ class ForecastPanel:
         return buf.getvalue()
 
 
-def _check_header(row: list[str], expected: list[str]) -> None:
+def _check_header(reader: Iterator[list[str]], expected: list[str]) -> None:
+    row = next(reader, None)  # the header
+    if row is None:
+        raise SchemaMismatchError("schema mismatch: empty file")
     if [c.strip() for c in row] != expected:
         raise SchemaMismatchError(
             f"schema mismatch: expected header {','.join(expected)}, got {','.join(row)}"
@@ -194,11 +197,7 @@ def parse_forecast_panel(stream: TextIO, source: str = "") -> ForecastPanel:
     rows raise with line-numbered diagnostics.
     """
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaMismatchError("schema mismatch: empty file") from None
-    _check_header(header, FORECAST_HEADER)
+    _check_header(reader, FORECAST_HEADER)
     forecasts: dict[tuple[TargetId, ReleaseDate, int], float] = {}
     realizations: dict[tuple[TargetId, int, ReleaseDate], float] = {}
     skipped: list[tuple[int, str]] = []
@@ -319,11 +318,7 @@ def parse_quarterly(
     are left as gaps for the series to report.
     """
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaMismatchError("schema mismatch: empty file") from None
-    _check_header(header, QUARTERLY_HEADER)
+    _check_header(reader, QUARTERLY_HEADER)
     index_set = set(index_variables)
     levels: dict[TargetId, dict[tuple[int, int], float]] = {}
     for line, row in enumerate(reader, start=2):

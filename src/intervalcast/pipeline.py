@@ -16,13 +16,17 @@ import csv
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
+from intervalcast import benchmark
 from intervalcast.benchmark import (
-    InsufficientQuarterlyHistoryError,
+    Ar1Fit,
     QuarterlySeries,
     QuarterlyTruthSelector,
     benchmark_forecast,
+    quarter_cutoff,
 )
 from intervalcast.domain import (
     DEFAULT_LEVELS,
@@ -95,6 +99,14 @@ class RunConfig:
     generated_at: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for name, kind, optional in (
+            ("truth_rule", TruthRule, False), ("error_method", ErrorMethod, False),
+            ("quantile_method", QuantileMethod, False), ("window", int, False),
+            ("ar_min_obs", int, False), ("ar_window", int, True), ("eval_as_of", ReleaseDate, True),
+        ):
+            value = getattr(self, name)
+            if not (isinstance(value, kind) and not isinstance(value, bool) or optional and value is None):
+                raise ValueError(f"{name} must be {kind.__name__}{' or None' * optional}, got {value!r}")
         validate_levels(self.levels)
         if self.window < 1:
             raise ValueError("window length must be >= 1")
@@ -322,6 +334,8 @@ def build_grid(
 def _ar_lookup(
     series_by_target: dict[TargetId, QuarterlySeries], config: RunConfig
 ) -> ForecastLookup:
+    """AR(1) forecasts; one fit per (target, origin) serves both target years."""
+    fits: dict[tuple[TargetId, ReleaseDate], Ar1Fit | ValueError] = {}
     cache: dict[tuple[TargetId, ReleaseDate, int], Optional[float]] = {}
 
     def lookup(target: TargetId, origin: ReleaseDate, target_year: int) -> Optional[float]:
@@ -330,15 +344,20 @@ def _ar_lookup(
             series = series_by_target.get(target)
             value: Optional[float] = None
             if series is not None:
+                fit = fits.get((target, origin))
+                if fit is None:
+                    try:
+                        fit = benchmark.fit_ar1(series, quarter_cutoff(origin),
+                                                min_obs=config.ar_min_obs, window=config.ar_window)
+                    except ValueError as exc:
+                        fit = exc
+                    fits[(target, origin)] = fit
                 try:
                     value = benchmark_forecast(
-                        series,
-                        origin,
-                        horizon_of(origin, target_year),
-                        min_obs=config.ar_min_obs,
-                        window=config.ar_window,
+                        series, origin, horizon_of(origin, target_year),
+                        min_obs=config.ar_min_obs, window=config.ar_window, fit=fit,
                     )
-                except (InsufficientQuarterlyHistoryError, ValueError):
+                except ValueError:  # InsufficientQuarterlyHistoryError included
                     value = None
             cache[key] = value
         return cache[key]
@@ -511,6 +530,65 @@ def _audit_row(
         },
         "wis": sf.wis,
     }
+
+
+def _layout(keys: Sequence[str], indent: str) -> str:
+    """``json.dumps(indent=2)``'s layout of an object with ``keys`` at ``indent``."""
+    return "{" + ",".join(f'\n{indent}  "{key}": %s' for key in keys) + f"\n{indent}}}"
+
+
+# ``_audit_row``'s shape, keys sorted as ``sort_keys=True`` sorts them.
+_AUDIT_ROW = "  " + _layout((
+    "country", "forecast_origin", "grid_origin", "horizon", "intervals", "method", "outcome",
+    "pava_blocks", "point", "scores", "skipped_years", "source_years", "target_year",
+    "variable", "wis",
+), "  ")
+_SCORE_PARTS = ("dispersion", "overprediction", "total", "underprediction")
+_AUDIT_INTERVAL = "      %s: " + _layout(("degenerate", "excludes_center", "lower", "upper"), "      ")
+_AUDIT_SCORE = "      %s: " + _layout(_SCORE_PARTS, "      ")
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def write_audit(rows: Iterable[dict[str, object]], fh) -> None:
+    """Write ``_audit_row`` rows to ``fh`` one at a time, as exactly the text
+    of ``json.dumps(rows, indent=2, sort_keys=True) + "\\n"``."""
+    text, nonfinite, scores = encode_basestring_ascii, _NONFINITE.get, itemgetter(*_SCORE_PARTS)
+    level_order: dict[tuple, list[tuple[str, str]]] = {}
+
+    def num(x: float) -> str:
+        r = float.__repr__(x)
+        return nonfinite(r, r)
+
+    def ints(values: list[int]) -> str:
+        return "[\n      " + ",\n      ".join(map(int.__repr__, values)) + "\n    ]" if values else "[]"
+
+    def interval(head: str, p: dict) -> str:
+        flags = ("true" if p["degenerate"] else "false", "true" if p["excludes_center"] else "false")
+        return _AUDIT_INTERVAL % (head, *flags, num(p["lower"]), num(p["upper"]))
+
+    def score(head: str, p: dict) -> str:
+        return _AUDIT_SCORE % (head, *map(num, scores(p)))
+
+    def by_level(parts: dict, render) -> str:
+        if not parts:
+            return "{}"
+        order = level_order.get(keys := tuple(parts))
+        if order is None:  # level keys sort as strings, as json sorts them
+            order = level_order[keys] = [(key, text(key)) for key in sorted(keys)]
+        return "{\n" + ",\n".join([render(head, parts[key]) for key, head in order]) + "\n    }"
+
+    sep = "[\n"
+    for row in rows:
+        fh.write(sep + _AUDIT_ROW % (
+            text(row["country"]), text(row["forecast_origin"]), text(row["grid_origin"]),
+            text(row["horizon"]), by_level(row["intervals"], interval), text(row["method"]),
+            num(row["outcome"]), ints(row["pava_blocks"]), num(row["point"]),
+            by_level(row["scores"], score), ints(row["skipped_years"]),
+            ints(row["source_years"]), int.__repr__(row["target_year"]),
+            text(row["variable"]), num(row["wis"]),
+        ))
+        sep = ",\n"
+    fh.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
 @dataclass
@@ -703,36 +781,30 @@ def produce_forecast(
                 cell = grid.cells[horizon]
                 for tau in config.levels:
                     pi = cell.interval(tau)
-                    writer.writerow(
-                        [
-                            target.country,
-                            target.variable,
-                            cell.forecast_origin.year,
-                            cell.forecast_origin.season.value,
-                            cell.target_year,
-                            format(tau, ".10g"),
-                            format(pi.lower, ".10g"),
-                            format(pi.upper, ".10g"),
-                            format(pi.center, ".10g"),
-                            method.label,
-                            tag,
-                        ]
-                    )
+                    writer.writerow([
+                        target.country, target.variable, cell.forecast_origin.year,
+                        cell.forecast_origin.season.value, cell.target_year,
+                        *(format(x, ".10g") for x in (tau, pi.lower, pi.upper, pi.center)),
+                        method.label, tag,
+                    ])
     return buf.getvalue(), gaps
 
 
 def write_backtest_outputs(result: BacktestResult, out_dir: str) -> list[str]:
-    """Write report.csv / report.json / audit.json / gaps.json; returns paths."""
+    """Write report.csv / report.json / audit.json / gaps.json; returns paths.
+
+    ``audit.json`` is streamed one row at a time by ``write_audit``, with the
+    bytes of ``json.dumps(result.audit, indent=2, sort_keys=True) + "\\n"``."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for name, text in (
-        ("report.csv", result.report.to_csv()),
-        ("report.json", result.report.to_json()),
-        ("audit.json", json.dumps(result.audit, indent=2, sort_keys=True) + "\n"),
-        ("gaps.json", json.dumps(sorted(result.gaps), indent=2) + "\n"),
+    for name, write in (
+        ("report.csv", lambda fh: fh.write(result.report.to_csv())),
+        ("report.json", lambda fh: fh.write(result.report.to_json())),
+        ("audit.json", lambda fh: write_audit(result.audit, fh)),
+        ("gaps.json", lambda fh: fh.write(json.dumps(sorted(result.gaps), indent=2) + "\n")),
     ):
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
         paths.append(path)
     return paths

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from intervalcast.domain import HORIZONS, ReleaseDate, Season, TargetId
 from intervalcast.ingest import ForecastPanel
 
 DEFAULT_SIGMAS = {h: 0.5 + 0.25 * h.index for h in HORIZONS}
+
+# HYPOTHESIS_PROFILE=ci: reproducible examples, and more of them where a test
+# does not set its own count. Local runs keep hypothesis's default profile.
+settings.register_profile("ci", derandomize=True, max_examples=300)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 # Acceptance-criterion result lines, replayed after capture ends.
 acceptance_lines: list[str] = []

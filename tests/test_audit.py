@@ -1,0 +1,96 @@
+"""``write_audit`` against ``json.dumps(rows, indent=2, sort_keys=True)``, on
+generated rows of ``_audit_row``'s shape and on a real backtest."""
+
+from __future__ import annotations
+
+import io
+import json
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from intervalcast.pipeline import RunConfig, run_backtest, write_audit, write_backtest_outputs
+
+from test_history import _golden_inputs
+
+
+def dumped(rows) -> str:
+    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
+def written(rows) -> str:
+    buf = io.StringIO()
+    write_audit(rows, buf)
+    return buf.getvalue()
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e16, 1e-7, 1e22, 123456789.123, 0.1, math.nan, math.inf, -math.inf,
+]
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+numbers = st.one_of(floats, floats.map(np.float64))  # numpy scalars write as plain floats
+texts = st.one_of(st.sampled_from(["CAN", "Ünïcødé", "\x00\n\t\"\\/", " \ud800", ""]), st.text())
+years = st.lists(st.integers(-10**6, 10**6), max_size=5)
+# Levels whose string order differs from their numeric order (1e-05 < 0.05
+# numerically, "0.05" < "1e-05" as strings).
+levels = st.lists(
+    st.one_of(st.sampled_from([1e-05, 0.05, 0.5, 0.9, 0.95, 0.1, 0.123456789]),
+              st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    unique=True, max_size=5,
+).map(sorted)
+interval_parts = st.fixed_dictionaries({
+    "lower": numbers, "upper": numbers, "degenerate": st.booleans(), "excludes_center": st.booleans(),
+})
+score_parts = st.fixed_dictionaries({
+    "total": numbers, "dispersion": numbers, "overprediction": numbers, "underprediction": numbers,
+})
+
+
+@st.composite
+def audit_rows(draw):
+    """One row with ``_audit_row``'s keys, in its insertion order."""
+    taus = draw(levels)
+    return {
+        "country": draw(texts),
+        "variable": draw(texts),
+        "method": draw(texts),
+        "horizon": draw(texts),
+        "grid_origin": draw(texts),
+        "forecast_origin": draw(texts),
+        "target_year": draw(st.integers(-10**6, 10**6)),
+        "point": draw(numbers),
+        "outcome": draw(numbers),
+        "source_years": draw(years),
+        "skipped_years": draw(years),
+        "pava_blocks": draw(years),
+        "intervals": {str(tau): draw(interval_parts) for tau in taus},
+        "scores": {str(tau): draw(score_parts) for tau in taus},
+        "wis": draw(numbers),
+    }
+
+
+@settings(deadline=None)
+@given(st.lists(audit_rows(), max_size=4))
+@example([])
+def test_write_audit_is_json_dumps_text(rows):
+    assert written(rows) == dumped(rows)
+
+
+def test_real_backtest_audit_is_json_dumps_text(tmp_path):
+    panel, quarterly = _golden_inputs()
+    config = RunConfig(
+        levels=tuple(round(0.1 * k, 1) for k in range(1, 10)),
+        window=20, train_span=(1985, 2004), holdout_span=(2005, 2015), methods=("imf", "ar"),
+    )
+    result = run_backtest(config, panel, quarterly=quarterly)
+    rows = result.audit
+    assert {row["method"] for row in rows} == {"imf", "ar"}
+    assert any(max(row["pava_blocks"]) > 1 for row in rows)
+    assert any(row["skipped_years"] for row in rows)
+    expected = dumped(rows)
+    assert written(rows) == expected
+    write_backtest_outputs(result, str(tmp_path))
+    assert (tmp_path / "audit.json").read_bytes() == expected.encode("ascii")

@@ -4,13 +4,15 @@ import json
 import numpy as np
 import pytest
 
+from intervalcast import benchmark, pipeline
 from intervalcast.benchmark import QuarterlySeries
-from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, Season, TargetId
+from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, Season, TargetId, horizon_of
 from intervalcast.errorsets import ErrorMethod
 from intervalcast.ingest import FallbackRule, ForecastPanel, PanelTruthSelector, TruthRule
 from intervalcast.pipeline import (
     ErrorHistory,
     RunConfig,
+    _ar_lookup,
     build_grid,
     fresh_horizons,
     load_config,
@@ -89,6 +91,28 @@ class TestConfig:
         path.write_text(json.dumps({"ar_window": None}))
         assert load_config(str(path)).ar_window is None
         assert load_config(None, truth_rule=TruthRule()).truth_rule == TruthRule()
+
+    def test_truth_rule_string_rejected_by_name(self):
+        # Accepted before, then failed in select_truth with an AttributeError.
+        with pytest.raises(ValueError, match="truth_rule must be TruthRule, got 'none'"):
+            RunConfig(truth_rule="none")
+
+    def test_ar_window_string_rejected_by_name(self):
+        with pytest.raises(ValueError, match="ar_window must be int or None, got '8'"):
+            RunConfig(ar_window="8")
+
+    @pytest.mark.parametrize("field, value", [
+        ("error_method", "absolute"),
+        ("quantile_method", "type7"),
+        ("window", "11"),
+        ("window", True),
+        ("ar_min_obs", 20.0),
+        ("ar_window", False),
+        ("eval_as_of", "2024S"),
+    ])
+    def test_wrong_value_types_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            RunConfig(**{field: value})
 
     def test_load_config_rejects_unknown_keys_by_name(self):
         with pytest.raises(ValueError, match="unknown config key.*quantile, windw"):
@@ -277,6 +301,47 @@ class TestRunBacktest:
     def test_ar_method_requires_quarterly_data(self):
         with pytest.raises(ValueError, match="quarterly data"):
             run_backtest(RunConfig(methods=("ar",)), backtest_panel(2))
+
+    def test_ar_lookup_fits_once_per_target_and_origin(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        growth = {(year, q): float(rng.normal(0.5, 0.4)) for year in range(1990, 2021)
+                  for q in (1, 2, 3, 4)}
+        del growth[(2008, 2)]  # origins 2008F to 2013S lack 20 contiguous pairs
+        series = QuarterlySeries(target=TARGET, growth=growth)
+        quarterly = {TARGET: series}
+        config = RunConfig(methods=("ar",))
+        asks = [
+            (target, ReleaseDate(year, season), year + offset)
+            for target in (TARGET, TargetId("BBB", "gdp"))  # BBB has no series
+            for year in range(2000, 2020) for season in Season for offset in (1, 0, 1)
+        ]
+
+        def unshared(target, origin, target_year):
+            if target not in quarterly:
+                return None
+            try:
+                return benchmark.benchmark_forecast(
+                    series, origin, horizon_of(origin, target_year),
+                    min_obs=config.ar_min_obs, window=config.ar_window,
+                )
+            except ValueError:
+                return None
+
+        expected = [unshared(*ask) for ask in asks]
+        assert None in expected and any(v is not None for v in expected)
+        calls = {"fit": 0, "forecast": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(benchmark, "fit_ar1", counted("fit", benchmark.fit_ar1))
+        monkeypatch.setattr(pipeline, "benchmark_forecast", counted("forecast", pipeline.benchmark_forecast))
+        lookup = _ar_lookup(quarterly, config)
+        assert [lookup(*ask) for ask in asks] == expected
+        assert calls == {"fit": 20 * 2, "forecast": 20 * 2 * 2}
 
 
 class TestRunTuning:
