@@ -2,9 +2,9 @@
 
 Subcommands: ``ingest`` (validate and canonicalize a panel), ``tune`` (grid
 search on the training span), ``backtest`` (hold-out evaluation), ``forecast``
-(interval files for one origin), ``report`` (re-render tables from a stored
-audit trail). Exit codes: 0 success, 1 validation failure, 2 partial output
-with a gaps manifest.
+(interval files for one origin), ``report`` (rebuild the backtest's report
+from a stored audit trail and its ``run.json``). Exit codes: 0 success, 1
+validation failure, 2 partial output with a gaps manifest.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from intervalcast.domain import ReleaseDate, Season
@@ -20,10 +21,12 @@ from intervalcast.errorsets import ErrorMethod
 from intervalcast.ingest import ForecastPanel, parse_forecast_panel, parse_quarterly
 from intervalcast.pipeline import (
     RunConfig,
+    evaluation_report,
     load_config,
     produce_forecast,
     run_backtest,
     run_tuning,
+    scored_from_audit,
     write_backtest_outputs,
 )
 from intervalcast.quantile import QuantileMethod
@@ -48,18 +51,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--external-forecasts", dest="external_forecasts")
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        key: getattr(args, key, None)
-        for key in (
-            "data", "quarterly_data", "out", "window", "error_method",
-            "quantile_method", "train_span", "holdout_span", "methods",
-            "exclude", "external_forecasts",
-        )
-    }
-    if getattr(args, "levels", None):
-        overrides["levels"] = [float(v) for v in args.levels.split(",")]
-    return load_config(getattr(args, "config", None), **overrides)
+def _config_from_args(args: argparse.Namespace, config_path: Optional[str] = None) -> RunConfig:
+    """The config of ``--config`` (else ``config_path``) with the flags given
+    as overrides; each flag's ``dest`` is its config key."""
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return load_config(args.config or config_path, **overrides)
 
 
 def _load_panel(path: Optional[str]) -> ForecastPanel:
@@ -149,20 +145,16 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    audit_path = args.audit or os.path.join(config.out, "audit.json")
+    """Print the mean-WIS cells of the backtest's report, rebuilt from its
+    audit trail and the ``run.json`` next to it (or ``--config``)."""
+    audit_path = args.audit or os.path.join(_config_from_args(args).out, "audit.json")
     with open(audit_path, encoding="utf-8") as fh:
-        audit = json.load(fh)
-    # Re-render summary tables from the stored audit trail alone.
-    by_cell: dict[tuple[str, str, str, str], list[dict]] = {}
-    for row in audit:
-        key = (row["country"], row["variable"], row["horizon"], row["method"])
-        by_cell.setdefault(key, []).append(row)
+        scored = scored_from_audit(json.load(fh))
+    config = _config_from_args(args, os.path.join(os.path.dirname(audit_path), "run.json"))
+    report = evaluation_report(scored, config)
     lines = ["country,variable,horizon,method,mean_wis,n"]
-    for key in sorted(by_cell):
-        rows = by_cell[key]
-        mean_wis = sum(r["wis"] for r in rows) / len(rows)
-        lines.append(",".join([*key, format(mean_wis, ".10g"), str(len(rows))]))
+    for key, stats in sorted(report.cells.items()):
+        lines.append(",".join([*key, format(stats.mean_wis, ".10g"), str(stats.n)]))
     print("\n".join(lines))
     return 0
 
@@ -195,9 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=["S", "F"])
     p_forecast.set_defaults(func=cmd_forecast)
 
-    p_report = sub.add_parser("report", help="re-render tables from a stored audit trail")
+    p_report = sub.add_parser("report", help="re-render the report from a stored audit trail")
     _add_common(p_report)
-    p_report.add_argument("--audit", help="path to audit.json (default <out>/audit.json)")
+    p_report.add_argument("--audit", help="path to audit.json (default <out>/audit.json); "
+                          "the run's config is read from run.json beside it")
     p_report.set_defaults(func=cmd_report)
 
     return parser

@@ -52,6 +52,14 @@ class ReleaseDate:
     def __str__(self) -> str:
         return f"{self.year}{self.season.value}"
 
+    @classmethod
+    def parse(cls, token: str) -> "ReleaseDate":
+        """The release date written as ``str(date)``, e.g. '2012S'."""
+        try:
+            return cls(int(token[:-1]), Season.parse(token[-1]))
+        except (TypeError, ValueError, IndexError):
+            raise ValueError(f"bad release date {token!r}, expected e.g. 2012S") from None
+
 
 @total_ordering
 class Horizon(Enum):

@@ -67,11 +67,6 @@ class FallbackRule(Enum):
 
 
 @dataclass(frozen=True)
-class TruthRule:
-    fallback: FallbackRule = FallbackRule.LATEST_AVAILABLE
-
-
-@dataclass(frozen=True)
 class ForecastPanel:
     """Read-only store of point forecasts, keyed (target, origin, target year),
     and realization vintages, keyed (target, target year, vintage).
@@ -245,7 +240,7 @@ def select_truth(
     target: TargetId,
     target_year: int,
     as_of: ReleaseDate,
-    rule: TruthRule = TruthRule(),
+    rule: FallbackRule = FallbackRule.LATEST_AVAILABLE,
     mode: str = "evaluation",
 ) -> float:
     """Pick the realization vintage serving as truth for ``target_year``.
@@ -273,7 +268,7 @@ def select_truth(
         spring_after = ReleaseDate(target_year + 1, Season.SPRING)
         if target_year == as_of.year - 1 and spring_after in available:
             return available[spring_after]
-    if rule.fallback is FallbackRule.LATEST_AVAILABLE:
+    if rule is FallbackRule.LATEST_AVAILABLE:
         latest = max(available)
         return available[latest]
     raise TruthUnavailableError(
@@ -287,7 +282,7 @@ class PanelTruthSelector:
     """Realization selector backed by a forecast panel and truth rule."""
 
     panel: ForecastPanel
-    rule: TruthRule = TruthRule()
+    rule: FallbackRule = FallbackRule.LATEST_AVAILABLE
     mode: str = "construction"
 
     def __call__(self, target: TargetId, year: int, as_of: ReleaseDate) -> Optional[float]:

@@ -170,25 +170,6 @@ def pool_level_rows(
     return pooled_lo, pooled_up, tuple(len(members) for members in blocks)
 
 
-def pool_adjacent_horizons(
-    columns: Mapping[float, tuple[list[float], list[float]]],
-) -> tuple[dict[float, tuple[list[float], list[float]]], tuple[int, ...]]:
-    """``pool_level_rows`` over ``columns``, which map each level to (lower
-    offsets, upper offsets) in horizon order; returns columns and blocks."""
-    levels = list(columns)
-    if len({len(side) for sides in columns.values() for side in sides}) > 1:
-        raise ValueError("all levels must cover the same horizons")
-    lowers, uppers, blocks = pool_level_rows(
-        list(zip(*[columns[tau][0] for tau in levels])),
-        list(zip(*[columns[tau][1] for tau in levels])),
-    )
-    corrected = {
-        tau: ([row[k] for row in lowers], [row[k] for row in uppers])
-        for k, tau in enumerate(levels)
-    }
-    return corrected, blocks
-
-
 def enforce_horizon_monotonicity(grid: IntervalGrid) -> IntervalGrid:
     """Correct an interval grid so offsets widen weakly with the horizon.
 

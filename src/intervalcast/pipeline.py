@@ -16,6 +16,7 @@ import csv
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from enum import Enum
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -52,7 +53,6 @@ from intervalcast.ingest import (
     FallbackRule,
     ForecastPanel,
     PanelTruthSelector,
-    TruthRule,
     TruthUnavailableError,
     select_truth,
 )
@@ -60,6 +60,7 @@ from intervalcast.intervals import (
     GridCell,
     IntervalGrid,
     IntervalOffsets,
+    PredictionInterval,
     enforce_horizon_monotonicity,  # noqa: F401  (looked up here by the benchmark's tracer)
     interval_from_offsets,
     level_rows,
@@ -69,6 +70,7 @@ from intervalcast.intervals import (
 from intervalcast.quantile import QuantileMethod
 from intervalcast.scoring import (
     EvaluationReport,
+    ScoreDecomposition,
     ScoredForecast,
     WisWeights,
     aggregate_report,
@@ -92,7 +94,7 @@ class RunConfig:
     holdout_span: tuple[int, int] = (2013, 2023)
     methods: tuple[str, ...] = ("imf",)
     exclude: tuple[tuple[str, int, int], ...] = ()
-    truth_rule: TruthRule = TruthRule()
+    truth_rule: FallbackRule = FallbackRule.LATEST_AVAILABLE
     eval_as_of: Optional[ReleaseDate] = None
     ar_min_obs: int = 20
     ar_window: Optional[int] = None
@@ -100,7 +102,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name, kind, optional in (
-            ("truth_rule", TruthRule, False), ("error_method", ErrorMethod, False),
+            ("truth_rule", FallbackRule, False), ("error_method", ErrorMethod, False),
             ("quantile_method", QuantileMethod, False), ("window", int, False),
             ("ar_min_obs", int, False), ("ar_window", int, True), ("eval_as_of", ReleaseDate, True),
         ):
@@ -125,11 +127,13 @@ def parse_exclusions(tokens: Iterable[str]) -> tuple[tuple[str, int, int], ...]:
     """Parse exclusion tokens like 'JPN:2021-2023' or 'JPN:2021'."""
     out = []
     for token in tokens:
-        country, _, span = token.partition(":")
-        if not span:
+        country, _, span = token.partition(":") if isinstance(token, str) else ("", "", "")
+        if not (country.strip() and span):
             raise ValueError(f"bad exclusion {token!r}: expected COUNTRY:FIRST-LAST")
-        first, _, last = span.partition("-")
-        out.append((country.strip(), int(first), int(last or first)))
+        first, last = parse_span(span)
+        if first > last:
+            raise ValueError(f"bad exclusion {token!r}: first year after last")
+        out.append((country.strip(), first, last))
     return tuple(out)
 
 
@@ -159,6 +163,8 @@ def load_config(path: Optional[str] = None, **overrides: object) -> RunConfig:
 
 def _config_value(key: str, value: object) -> object:
     """The ``RunConfig`` value of one config key, from JSON or a flag."""
+    if key in ("levels", "methods", "exclude") and isinstance(value, str):
+        value = [v for v in value.split(",") if v]
     if key == "levels":
         return tuple(float(v) for v in value)  # type: ignore[union-attr]
     if key == "error_method":
@@ -168,21 +174,25 @@ def _config_value(key: str, value: object) -> object:
     if key in ("train_span", "holdout_span"):
         return parse_span(value) if isinstance(value, str) else tuple(value)  # type: ignore[arg-type]
     if key == "methods":
-        return tuple(value.split(",") if isinstance(value, str) else value)  # type: ignore[arg-type]
+        return tuple(value)  # type: ignore[arg-type]
     if key == "exclude":
-        if isinstance(value, str):
-            value = [v for v in value.split(",") if v]
         return parse_exclusions(value)  # type: ignore[arg-type]
-    if key == "eval_as_of":
-        if isinstance(value, ReleaseDate) or value is None:
-            return value
-        token = str(value)
-        return ReleaseDate(int(token[:-1]), Season.parse(token[-1]))
+    if key == "eval_as_of" and value is not None and not isinstance(value, ReleaseDate):
+        return ReleaseDate.parse(value)  # type: ignore[arg-type]
     if key == "truth_rule":
-        return value if isinstance(value, TruthRule) else TruthRule(FallbackRule(value))
+        return FallbackRule(value)
     if key in ("window", "ar_min_obs") or (key == "ar_window" and value is not None):
         return int(value)  # type: ignore[arg-type]
     return value
+
+
+def config_json(config: RunConfig) -> str:
+    """``config`` as JSON that ``load_config`` reads back as an equal config:
+    enums as values, exclusions as 'C:FIRST-LAST' and release dates as '2023F'."""
+    raw = {f.name: getattr(config, f.name) for f in fields(config)}
+    raw["exclude"] = [f"{country}:{first}-{last}" for country, first, last in config.exclude]
+    return json.dumps(raw, indent=2, sort_keys=True,
+                      default=lambda v: v.value if isinstance(v, Enum) else str(v)) + "\n"
 
 
 def outstanding_cells(origin: ReleaseDate) -> dict[Horizon, tuple[ReleaseDate, int]]:
@@ -415,6 +425,7 @@ def _eval_as_of(config: RunConfig, panel: ForecastPanel) -> ReleaseDate:
 
 @dataclass
 class BacktestResult:
+    config: RunConfig
     report: EvaluationReport
     scored: list[ScoredForecast]
     grids: list[IntervalGrid]
@@ -490,8 +501,13 @@ def run_backtest(
                     )
                     scored.append(sf)
                     audit.append(_audit_row(sf, grid, cell))
-    report = aggregate_report(scored, config.levels, exclusions=config.exclude)
-    return BacktestResult(report=report, scored=scored, grids=grids, audit=audit, gaps=gaps)
+    report = evaluation_report(scored, config)
+    return BacktestResult(config=config, report=report, scored=scored, grids=grids, audit=audit, gaps=gaps)
+
+
+def evaluation_report(scored: Iterable[ScoredForecast], config: RunConfig) -> EvaluationReport:
+    """The backtest report of ``scored``, with the run's levels and exclusions."""
+    return aggregate_report(scored, config.levels, exclusions=config.exclude)
 
 
 def _audit_row(
@@ -530,6 +546,39 @@ def _audit_row(
         },
         "wis": sf.wis,
     }
+
+
+_HORIZONS_BY_LABEL = {h.label: h for h in HORIZONS}
+
+
+def scored_from_audit(rows: Iterable[dict]) -> list[ScoredForecast]:
+    """The scored forecasts that ``_audit_row`` wrote as ``rows``: each
+    interval is centered on the row's point, and each score's total is
+    summed from its parts as when it was scored."""
+    scored = []
+    for i, row in enumerate(rows):
+        try:
+            scored.append(ScoredForecast(
+                target=TargetId(row["country"], row["variable"]),
+                horizon=_HORIZONS_BY_LABEL[row["horizon"]],
+                origin=ReleaseDate.parse(row["forecast_origin"]),
+                target_year=row["target_year"],
+                method=row["method"],
+                outcome=row["outcome"],
+                intervals={
+                    float(key): PredictionInterval(float(key), p["lower"], p["upper"], row["point"],
+                                                   p["degenerate"], p["excludes_center"])
+                    for key, p in row["intervals"].items()
+                },
+                scores={
+                    float(key): ScoreDecomposition(p["dispersion"], p["overprediction"], p["underprediction"])
+                    for key, p in row["scores"].items()
+                },
+                wis=row["wis"],
+            ))
+        except (LookupError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"malformed audit row {i}: {exc!r}") from None
+    return scored
 
 
 def _layout(keys: Sequence[str], indent: str) -> str:
@@ -791,10 +840,13 @@ def produce_forecast(
 
 
 def write_backtest_outputs(result: BacktestResult, out_dir: str) -> list[str]:
-    """Write report.csv / report.json / audit.json / gaps.json; returns paths.
+    """Write report.csv / report.json / audit.json / gaps.json / run.json;
+    returns paths.
 
     ``audit.json`` is streamed one row at a time by ``write_audit``, with the
-    bytes of ``json.dumps(result.audit, indent=2, sort_keys=True) + "\\n"``."""
+    bytes of ``json.dumps(result.audit, indent=2, sort_keys=True) + "\\n"``.
+    ``run.json`` holds the run's config (``config_json``), so ``audit.json``
+    and ``run.json`` together rebuild the report."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for name, write in (
@@ -802,6 +854,7 @@ def write_backtest_outputs(result: BacktestResult, out_dir: str) -> list[str]:
         ("report.json", lambda fh: fh.write(result.report.to_json())),
         ("audit.json", lambda fh: write_audit(result.audit, fh)),
         ("gaps.json", lambda fh: fh.write(json.dumps(sorted(result.gaps), indent=2) + "\n")),
+        ("run.json", lambda fh: fh.write(config_json(result.config))),
     ):
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8", newline="") as fh:

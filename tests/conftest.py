@@ -10,6 +10,7 @@ from hypothesis import settings
 
 from intervalcast.domain import HORIZONS, ReleaseDate, Season, TargetId
 from intervalcast.ingest import ForecastPanel
+from intervalcast.intervals import pool_level_rows
 
 DEFAULT_SIGMAS = {h: 0.5 + 0.25 * h.index for h in HORIZONS}
 
@@ -77,6 +78,23 @@ def without(panel, forecasts=(), realizations=()) -> ForecastPanel:
         source=panel.source,
         skipped=panel.skipped,
     )
+
+
+def pool_adjacent_horizons(columns):
+    """``pool_level_rows`` over ``columns``, which map each level to (lower
+    offsets, upper offsets) in horizon order; returns columns and blocks."""
+    levels = list(columns)
+    if len({len(side) for sides in columns.values() for side in sides}) > 1:
+        raise ValueError("all levels must cover the same horizons")
+    lowers, uppers, blocks = pool_level_rows(
+        list(zip(*[columns[tau][0] for tau in levels])),
+        list(zip(*[columns[tau][1] for tau in levels])),
+    )
+    corrected = {
+        tau: ([row[k] for row in lowers], [row[k] for row in uppers])
+        for k, tau in enumerate(levels)
+    }
+    return corrected, blocks
 
 
 def tuning_cell(report, window, error_method, quantile_method, variable, horizon):

@@ -17,13 +17,12 @@ import pytest
 from intervalcast.benchmark import aggregate_annual, fit_ar1
 from intervalcast.domain import HORIZONS, ReleaseDate, Season, TargetId
 from intervalcast.errorsets import ErrorMethod
-from intervalcast.intervals import pool_adjacent_horizons
 from intervalcast.pipeline import RunConfig, run_backtest, run_tuning, write_backtest_outputs
 from intervalcast.quantile import QuantileMethod, empirical_quantile
 from intervalcast.scoring import interval_score
 
 import conftest
-from conftest import make_panel
+from conftest import make_panel, pool_adjacent_horizons
 from test_benchmark import ar1_values, series_from_values
 from test_quantile import ecdf_inverse_oracle
 

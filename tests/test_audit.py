@@ -1,5 +1,6 @@
 """``write_audit`` against ``json.dumps(rows, indent=2, sort_keys=True)``, on
-generated rows of ``_audit_row``'s shape and on a real backtest."""
+generated rows of ``_audit_row``'s shape and on a real backtest, and the
+report rebuilt from a written ``audit.json`` and ``run.json``."""
 
 from __future__ import annotations
 
@@ -11,7 +12,15 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intervalcast.pipeline import RunConfig, run_backtest, write_audit, write_backtest_outputs
+from intervalcast.pipeline import (
+    RunConfig,
+    evaluation_report,
+    load_config,
+    run_backtest,
+    scored_from_audit,
+    write_audit,
+    write_backtest_outputs,
+)
 
 from test_history import _golden_inputs
 
@@ -94,3 +103,19 @@ def test_real_backtest_audit_is_json_dumps_text(tmp_path):
     assert written(rows) == expected
     write_backtest_outputs(result, str(tmp_path))
     assert (tmp_path / "audit.json").read_bytes() == expected.encode("ascii")
+
+
+def test_report_rebuilt_from_written_audit_is_byte_identical(tmp_path):
+    panel, quarterly = _golden_inputs()
+    config = RunConfig(
+        levels=tuple(round(0.1 * k, 1) for k in range(1, 10)),
+        window=20, train_span=(1985, 2004), holdout_span=(2005, 2015), methods=("imf", "ar"),
+        exclude=(("AAA", 2007, 2008),),
+    )
+    result = run_backtest(config, panel, quarterly=quarterly)
+    write_backtest_outputs(result, str(tmp_path))
+    scored = scored_from_audit(json.loads((tmp_path / "audit.json").read_text()))
+    report = evaluation_report(scored, load_config(str(tmp_path / "run.json")))
+    assert {sf.method for sf in scored} == {"imf", "ar"}
+    assert report.to_csv() == (tmp_path / "report.csv").read_text()
+    assert report.to_json() == (tmp_path / "report.json").read_text()

@@ -136,6 +136,31 @@ class TestReport:
         assert lines[0] == "country,variable,horizon,method,mean_wis,n"
         assert any(line.startswith("AAA,gdp,") for line in lines[1:])
 
+    def test_rows_are_the_wis_rows_of_report_csv(self, panel_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["backtest", "--data", panel_path, "--out", str(out),
+                     "--exclude", "AAA:2015-2016"]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        got = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert got[0] == ["country", "variable", "horizon", "method", "mean_wis", "n"]
+        wis = [
+            [r["country"], r["variable"], r["horizon"], r["method"], r["value"], r["n"]]
+            for r in csv.DictReader((out / "report.csv").read_text().splitlines())
+            if r["metric"] == "wis"
+        ]
+        assert got[1:] == wis
+        assert any(row[0] == "pooled" for row in wis)
+        assert {row[5] for row in wis if row[0] == "AAA"} == {"9"}
+
+    def test_missing_run_json_exits_one(self, tmp_path, capsys):
+        (tmp_path / "audit.json").write_text("[]\n")
+        code = main(["report", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / "run.json") in err
+
 
 class TestBadInput:
     def _assert_one_line_error(self, capsys, *fragments):
@@ -168,6 +193,19 @@ class TestBadInput:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         self._assert_one_line_error(capsys, "bad config value", key)
+
+    @pytest.mark.parametrize("exclude, fragment", [
+        (["JPN", 2021, 2023], "['JPN', 2021, 2023]"),
+        ("JPN:2023-2021", "first year after last"),
+        (":2021", "':2021'"),
+    ])
+    def test_bad_exclusion_exits_one(self, panel_path, tmp_path, capsys, exclude, fragment):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"exclude": [exclude]}))
+        code = main(["backtest", "--config", str(config), "--data", panel_path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        self._assert_one_line_error(capsys, "bad config value for exclude", fragment)
 
     def test_malformed_audit_exits_one(self, tmp_path, capsys):
         audit = tmp_path / "audit.json"

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from intervalcast.domain import (
     HORIZONS,
@@ -83,3 +85,15 @@ def test_validate_levels():
         validate_levels((0.0, 0.5))
     with pytest.raises(ValueError):
         validate_levels(())
+
+
+@given(st.integers(-10**6, 10**6), st.sampled_from(Season))
+def test_release_date_parse_inverts_str(year, season):
+    date = ReleaseDate(year, season)
+    assert ReleaseDate.parse(str(date)) == date
+
+
+@pytest.mark.parametrize("token", ["2023", "2023X", "", "S", 2023])
+def test_release_date_parse_names_bad_token(token):
+    with pytest.raises(ValueError, match=f"bad release date {token!r}"):
+        ReleaseDate.parse(token)

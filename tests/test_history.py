@@ -28,7 +28,6 @@ from intervalcast.ingest import (
     FallbackRule,
     ForecastPanel,
     PanelTruthSelector,
-    TruthRule,
     TruthUnavailableError,
     select_truth,
 )
@@ -243,7 +242,7 @@ def _releases(first: ReleaseDate, last_year: int):
 def test_panel_settled_truth_holds_from_its_release_on(seed, missing_fall, revised, fallback):
     panel = vintage_panel(seed, 0.1, missing_fall, revised)
     for mode in ("construction", "evaluation"):
-        truths = PanelTruthSelector(panel, TruthRule(fallback=fallback), mode=mode)
+        truths = PanelTruthSelector(panel, fallback, mode=mode)
         for year in range(1986, 2008):
             found = truths.settled(TARGET, year)
             if found is None:

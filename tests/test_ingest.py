@@ -12,7 +12,6 @@ from intervalcast.ingest import (
     FallbackRule,
     ForecastPanel,
     SchemaMismatchError,
-    TruthRule,
     TruthUnavailableError,
     parse_forecast_panel,
     parse_quarterly,
@@ -171,7 +170,7 @@ class TestSelectTruth:
 
     def test_evaluation_does_not_accept_that_spring_without_fallback(self):
         panel = self.make_vintage_panel([(2022, 2023, "S", 1.0)])
-        rule = TruthRule(fallback=FallbackRule.NONE)
+        rule = FallbackRule.NONE
         with pytest.raises(TruthUnavailableError):
             select_truth(panel, TARGET, 2022, ReleaseDate(2023, Season.SPRING), rule=rule)
 
@@ -229,7 +228,7 @@ def test_select_truth_follows_documented_rule(picks, other_year, as_of, mode, fa
         realizations[(TARGET, 2011, vintage)] = -1.0
     panel = ForecastPanel({}, realizations)
     expected = truth_rule_oracle(vintages, 2010, as_of, mode, fallback)
-    rule = TruthRule(fallback=fallback)
+    rule = fallback
     if expected is None:
         with pytest.raises(TruthUnavailableError):
             select_truth(panel, TARGET, 2010, as_of, rule, mode=mode)

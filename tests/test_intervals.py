@@ -12,10 +12,11 @@ from intervalcast.intervals import (
     enforce_horizon_monotonicity,
     interval_from_offsets,
     offsets_for,
-    pool_adjacent_horizons,
     pool_level_rows,
 )
 from intervalcast.quantile import QuantileMethod, empirical_quantile
+
+from conftest import pool_adjacent_horizons
 
 TARGET = TargetId("AAA", "gdp")
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from intervalcast import benchmark, pipeline
 from intervalcast.benchmark import QuarterlySeries
 from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, Season, TargetId, horizon_of
 from intervalcast.errorsets import ErrorMethod
-from intervalcast.ingest import FallbackRule, ForecastPanel, PanelTruthSelector, TruthRule
+from intervalcast.ingest import FallbackRule, ForecastPanel, PanelTruthSelector
 from intervalcast.pipeline import (
     ErrorHistory,
     RunConfig,
@@ -50,6 +51,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="bad exclusion"):
             parse_exclusions(["JPN"])
 
+    @pytest.mark.parametrize("token, why", [
+        (["JPN", 2021, 2023], "expected COUNTRY:FIRST-LAST"),
+        ("JPN:2023-2021", "first year after last"),
+        (":2021", "expected COUNTRY:FIRST-LAST"),
+    ])
+    def test_load_config_rejects_bad_exclusion(self, tmp_path, token, why):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"exclude": [token]}))
+        with pytest.raises(ValueError, match=f"bad config value for exclude: bad exclusion .*{why}"):
+            load_config(str(path))
+
     def test_parse_span(self):
         assert parse_span("1990-2012") == (1990, 2012)
         assert parse_span("2020") == (2020, 2020)
@@ -86,15 +98,15 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"truth_rule": "none", "ar_min_obs": "12", "ar_window": "8"}))
         config = load_config(str(path))
-        assert config.truth_rule == TruthRule(FallbackRule.NONE)
+        assert config.truth_rule == FallbackRule.NONE
         assert (config.ar_min_obs, config.ar_window) == (12, 8)
         path.write_text(json.dumps({"ar_window": None}))
         assert load_config(str(path)).ar_window is None
-        assert load_config(None, truth_rule=TruthRule()).truth_rule == TruthRule()
+        assert load_config(None, truth_rule=FallbackRule.LATEST_AVAILABLE).truth_rule == FallbackRule.LATEST_AVAILABLE
 
     def test_truth_rule_string_rejected_by_name(self):
         # Accepted before, then failed in select_truth with an AttributeError.
-        with pytest.raises(ValueError, match="truth_rule must be TruthRule, got 'none'"):
+        with pytest.raises(ValueError, match="truth_rule must be FallbackRule, got 'none'"):
             RunConfig(truth_rule="none")
 
     def test_ar_window_string_rejected_by_name(self):
@@ -267,7 +279,7 @@ class TestRunBacktest:
         assert json.dumps(a.audit, sort_keys=True) == json.dumps(b.audit, sort_keys=True)
         paths = write_backtest_outputs(a, str(tmp_path / "out"))
         assert sorted(p.rsplit("/", 1)[1] for p in paths) == [
-            "audit.json", "gaps.json", "report.csv", "report.json",
+            "audit.json", "gaps.json", "report.csv", "report.json", "run.json",
         ]
 
     def test_audit_rows_expose_provenance(self):
@@ -478,3 +490,25 @@ class TestProduceForecast:
         text, gaps = produce_forecast(RunConfig(), panel, ReleaseDate(2023, Season.FALL))
         assert text.strip().splitlines() == [text.strip().splitlines()[0]]
         assert gaps
+
+
+def test_run_json_reads_back_as_the_run_config(tmp_path):
+    # Every key away from its default, enums, exclusions and release dates included.
+    config = RunConfig(
+        data="panel.csv", quarterly_data="quarterly.csv", external_forecasts="other.csv",
+        out="results", levels=(0.2, 0.5, 0.9), error_method=ErrorMethod.DIRECTIONAL,
+        quantile_method=QuantileMethod.INVERSE_ECDF, window=9, train_span=(1991, 2010),
+        holdout_span=(2011, 2022), methods=("imf", "external"),
+        exclude=(("AAA", 2015, 2016), ("BBB", 2020, 2020)), truth_rule=FallbackRule.NONE,
+        eval_as_of=ReleaseDate(2024, Season.SPRING), ar_min_obs=16, ar_window=30,
+        generated_at="tag",
+    )
+    assert all(getattr(config, f.name) != f.default for f in fields(RunConfig))
+    panel = make_panel()
+    result = run_backtest(config, panel, external=panel)
+    assert result.config is config
+    paths = write_backtest_outputs(result, str(tmp_path))
+    assert paths[-1] == str(tmp_path / "run.json")
+    assert load_config(paths[-1]) == result.config
+    text = (tmp_path / "run.json").read_text()
+    assert '"exclude": [\n    "AAA:2015-2016",' in text and '"eval_as_of": "2024S"' in text
