@@ -30,6 +30,7 @@ from intervalcast.pipeline import (
     write_backtest_outputs,
 )
 from intervalcast.quantile import QuantileMethod
+from intervalcast.scoring import POOLED
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -146,15 +147,25 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Print the mean-WIS cells of the backtest's report, rebuilt from its
-    audit trail and the ``run.json`` next to it (or ``--config``)."""
+    audit trail and the ``run.json`` next to it (or ``--config``).
+
+    An audit trail without either, written before ``run.json`` existed,
+    re-renders as it always did: the per-target cells of every row, with no
+    exclusions and no pooled cells, and a warning that the run's config is
+    unknown."""
     audit_path = args.audit or os.path.join(_config_from_args(args).out, "audit.json")
     with open(audit_path, encoding="utf-8") as fh:
         scored = scored_from_audit(json.load(fh))
-    config = _config_from_args(args, os.path.join(os.path.dirname(audit_path), "run.json"))
-    report = evaluation_report(scored, config)
+    run_json = os.path.join(os.path.dirname(audit_path), "run.json")
+    known = bool(args.config) or os.path.exists(run_json)
+    if not known:
+        print(f"warning: no {run_json}; printing per-target cells of every audit row, "
+              "without the run's exclusions or pooled cells", file=sys.stderr)
+    report = evaluation_report(scored, _config_from_args(args, run_json if known else None))
     lines = ["country,variable,horizon,method,mean_wis,n"]
     for key, stats in sorted(report.cells.items()):
-        lines.append(",".join([*key, format(stats.mean_wis, ".10g"), str(stats.n)]))
+        if known or key[0] != POOLED:
+            lines.append(",".join([*key, format(stats.mean_wis, ".10g"), str(stats.n)]))
     print("\n".join(lines))
     return 0
 

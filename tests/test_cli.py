@@ -153,13 +153,19 @@ class TestReport:
         assert any(row[0] == "pooled" for row in wis)
         assert {row[5] for row in wis if row[0] == "AAA"} == {"9"}
 
-    def test_missing_run_json_exits_one(self, tmp_path, capsys):
-        (tmp_path / "audit.json").write_text("[]\n")
-        code = main(["report", "--out", str(tmp_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(tmp_path / "run.json") in err
+    def test_audit_without_run_json_prints_per_target_cells(self, panel_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["backtest", "--data", panel_path, "--out", str(out),
+                     "--exclude", "AAA:2015-2016"]) == 0
+        (out / "run.json").unlink()
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
+        assert str(out / "run.json") in captured.err
+        rows = list(csv.reader(captured.out.splitlines()))[1:]
+        assert rows and not any(row[0] == "pooled" for row in rows)
+        assert {row[5] for row in rows if row[0] == "AAA"} == {"11"}
 
 
 class TestBadInput:
