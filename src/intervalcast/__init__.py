@@ -2,7 +2,6 @@
 and proper-scoring-rule evaluation."""
 
 from intervalcast.domain import (
-    VARIABLES,
     Horizon,
     ReleaseDate,
     Season,
@@ -28,7 +27,6 @@ from intervalcast.scoring import (
 from intervalcast.pipeline import RunConfig, produce_forecast, run_backtest, run_tuning
 
 __all__ = [
-    "VARIABLES",
     "Horizon",
     "ReleaseDate",
     "Season",

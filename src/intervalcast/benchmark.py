@@ -56,17 +56,6 @@ class QuarterlySeries:
     def value(self, q: Quarter) -> Optional[float]:
         return self.growth.get(q)
 
-    def last_quarter(self) -> Optional[Quarter]:
-        return max(self.growth, key=_q_index) if self.growth else None
-
-    def gaps(self) -> list[Quarter]:
-        """Missing quarters strictly inside the observed range."""
-        if not self.growth:
-            return []
-        indices = sorted(_q_index(q) for q in self.growth)
-        present = set(indices)
-        return [_q_from_index(i) for i in range(indices[0], indices[-1]) if i not in present]
-
     def contiguous_run_ending(self, last: Quarter) -> list[float]:
         """Observed values of the longest gap-free run ending at ``last``
         (newest last); empty if ``last`` itself is unobserved."""

@@ -29,7 +29,6 @@ from intervalcast.pipeline import (
     scored_from_audit,
     write_backtest_outputs,
 )
-from intervalcast.quantile import QuantileMethod
 from intervalcast.scoring import POOLED
 
 

@@ -1,13 +1,10 @@
-"""Core vocabulary: release dates, horizons, targets, forecast and realization records."""
+"""Core vocabulary: release dates, horizons, targets and confidence levels."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
-
-VARIABLES = ("gdp", "cpi")
 
 
 class UnsupportedHorizonError(ValueError):
@@ -89,11 +86,6 @@ class Horizon(Enum):
         return _HORIZON_ORDER.index(self)
 
     @property
-    def time_to_target(self) -> float:
-        """Approximate years between origin and the end of the target year."""
-        return 0.25 + 0.5 * (1 - self.season.rank) + self.year_offset
-
-    @property
     def label(self) -> str:
         when = "current" if self.year_offset == 0 else "next"
         return f"{self.season.name.lower()}-{when}"
@@ -140,40 +132,6 @@ class TargetId:
     def __post_init__(self) -> None:
         if not self.country or not self.variable:
             raise ValueError("country and variable must be nonempty")
-
-
-@dataclass(frozen=True)
-class ForecastRecord:
-    target: TargetId
-    origin: ReleaseDate
-    target_year: int
-    value: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite forecast value for {self.target}")
-        # Validates the origin/target-year combination eagerly.
-        horizon_of(self.origin, self.target_year)
-
-    @property
-    def horizon(self) -> Horizon:
-        return horizon_of(self.origin, self.target_year)
-
-
-@dataclass(frozen=True)
-class RealizationVintage:
-    target: TargetId
-    target_year: int
-    vintage: ReleaseDate
-    value: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite realization value for {self.target}")
-        if self.vintage.year < self.target_year:
-            raise ValueError(
-                f"vintage {self.vintage} predates target year {self.target_year}"
-            )
 
 
 def validate_levels(levels: tuple[float, ...]) -> tuple[float, ...]:

@@ -115,6 +115,10 @@ def year_error(
     return None if forecast is None else forecast_error(realized, forecast, method)  # type: ignore[arg-type]
 
 
+# Years an error-set build walks back before giving up.
+MAX_LOOKBACK = 200
+
+
 def build_error_set(
     points: Mapping[int, Optional[float]],
     truths: Mapping[int, Optional[float]],
@@ -124,7 +128,6 @@ def build_error_set(
     origin: ReleaseDate,
     window: int,
     method: ErrorMethod = ErrorMethod.ABSOLUTE,
-    max_lookback: int = 200,
     settled: Optional[Mapping[int, tuple[int, Optional[float]]]] = None,
 ) -> ErrorSet:
     """Collect the ``window`` most recent eligible errors before ``anchor_year``.
@@ -148,7 +151,7 @@ def build_error_set(
     source_years: list[int] = []
     skipped: list[int] = []
     year = min(anchor_year, origin.year) - 1
-    floor = year - max_lookback
+    floor = year - MAX_LOOKBACK
     at = origin.ordinal
     while len(errors) < window and year > floor:
         first, error = (at + 1, None) if settled is None else settled[year]

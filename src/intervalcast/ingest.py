@@ -26,13 +26,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, TextIO
 
 from intervalcast.benchmark import QuarterlySeries
-from intervalcast.domain import (
-    ForecastRecord,
-    RealizationVintage,
-    ReleaseDate,
-    Season,
-    TargetId,
-)
+from intervalcast.domain import ReleaseDate, Season, TargetId, horizon_of
 
 FORECAST_HEADER = [
     "country",
@@ -165,23 +159,23 @@ def _check_header(reader: Iterator[list[str]], expected: list[str]) -> None:
         )
 
 
-def _parse_value(token: str, line: int) -> Optional[float]:
+def _parse_value(token: str) -> Optional[float]:
     if token.strip() in NA_TOKENS:
         return None
     try:
         value = float(token)
-    except ValueError as exc:
-        raise SchemaMismatchError(f"line {line}: unparseable value {token!r}") from exc
+    except ValueError:
+        raise SchemaMismatchError(f"unparseable value {token!r}") from None
     if not math.isfinite(value):
-        raise SchemaMismatchError(f"line {line}: non-finite value {token!r}")
+        raise SchemaMismatchError(f"non-finite value {token!r}")
     return value
 
 
-def _parse_int(token: str, line: int, column: str) -> int:
+def _parse_int(token: str, column: str) -> int:
     try:
         return int(token)
-    except ValueError as exc:
-        raise SchemaMismatchError(f"line {line}: unparseable {column} {token!r}") from exc
+    except ValueError:
+        raise SchemaMismatchError(f"unparseable {column} {token!r}") from None
 
 
 def parse_forecast_panel(stream: TextIO, source: str = "") -> ForecastPanel:
@@ -201,28 +195,31 @@ def parse_forecast_panel(stream: TextIO, source: str = "") -> ForecastPanel:
     for line, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
-        if len(row) != len(FORECAST_HEADER):
-            raise SchemaMismatchError(
-                f"line {line}: expected {len(FORECAST_HEADER)} columns, got {len(row)}"
-            )
-        country, variable, kind, oy, os_, ty, vy, vs, value_token = [c.strip() for c in row]
-        value = _parse_value(value_token, line)
-        if value is None:
-            skipped.append((line, "missing value"))
-            continue
-        target = TargetId(country=country, variable=variable)
-        target_year = _parse_int(ty, line, "target_year")
-        if kind == "forecast":
-            origin = ReleaseDate(_parse_int(oy, line, "origin_year"), Season.parse(os_))
-            # The records validate the horizon and the vintage year.
-            ForecastRecord(target=target, origin=origin, target_year=target_year, value=value)
-            key, store = (target, origin, target_year), forecasts
-        elif kind == "realization":
-            vintage = ReleaseDate(_parse_int(vy, line, "vintage_year"), Season.parse(vs))
-            RealizationVintage(target=target, target_year=target_year, vintage=vintage, value=value)
-            key, store = (target, target_year, vintage), realizations
-        else:
-            raise SchemaMismatchError(f"line {line}: unknown kind {kind!r}")
+        try:
+            if len(row) != len(FORECAST_HEADER):
+                raise SchemaMismatchError(
+                    f"expected {len(FORECAST_HEADER)} columns, got {len(row)}"
+                )
+            country, variable, kind, oy, os_, ty, vy, vs, value_token = [c.strip() for c in row]
+            value = _parse_value(value_token)
+            if value is None:
+                skipped.append((line, "missing value"))
+                continue
+            target = TargetId(country=country, variable=variable)
+            target_year = _parse_int(ty, "target_year")
+            if kind == "forecast":
+                origin = ReleaseDate(_parse_int(oy, "origin_year"), Season.parse(os_))
+                horizon_of(origin, target_year)  # raises for an unsupported horizon
+                key, store = (target, origin, target_year), forecasts
+            elif kind == "realization":
+                vintage = ReleaseDate(_parse_int(vy, "vintage_year"), Season.parse(vs))
+                if vintage.year < target_year:
+                    raise ValueError(f"vintage {vintage} predates target year {target_year}")
+                key, store = (target, target_year, vintage), realizations
+            else:
+                raise SchemaMismatchError(f"unknown kind {kind!r}")
+        except ValueError as exc:
+            raise type(exc)(f"line {line}: {exc}") from None
         first = seen.setdefault(key, line)
         if first != line:
             what = (
@@ -319,23 +316,26 @@ def parse_quarterly(
     for line, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
-        if len(row) != len(QUARTERLY_HEADER):
-            raise SchemaMismatchError(
-                f"line {line}: expected {len(QUARTERLY_HEADER)} columns, got {len(row)}"
-            )
-        country, variable, year_tok, quarter_tok, value_token = [c.strip() for c in row]
-        value = _parse_value(value_token, line)
-        if value is None:
-            continue
-        year = _parse_int(year_tok, line, "year")
-        quarter = _parse_int(quarter_tok, line, "quarter")
-        if quarter not in (1, 2, 3, 4):
-            raise SchemaMismatchError(f"line {line}: quarter must be 1-4, got {quarter}")
-        target = TargetId(country=country, variable=variable)
-        if variable in index_set and value <= 0:
-            raise SchemaMismatchError(
-                f"line {line}: invalid level {value} (index levels must be positive)"
-            )
+        try:
+            if len(row) != len(QUARTERLY_HEADER):
+                raise SchemaMismatchError(
+                    f"expected {len(QUARTERLY_HEADER)} columns, got {len(row)}"
+                )
+            country, variable, year_tok, quarter_tok, value_token = [c.strip() for c in row]
+            value = _parse_value(value_token)
+            if value is None:
+                continue
+            year = _parse_int(year_tok, "year")
+            quarter = _parse_int(quarter_tok, "quarter")
+            if quarter not in (1, 2, 3, 4):
+                raise SchemaMismatchError(f"quarter must be 1-4, got {quarter}")
+            target = TargetId(country=country, variable=variable)
+            if variable in index_set and value <= 0:
+                raise SchemaMismatchError(
+                    f"invalid level {value} (index levels must be positive)"
+                )
+        except ValueError as exc:
+            raise type(exc)(f"line {line}: {exc}") from None
         levels.setdefault(target, {})[(year, quarter)] = value
     out: dict[TargetId, QuarterlySeries] = {}
     for target, obs in levels.items():

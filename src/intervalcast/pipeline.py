@@ -74,7 +74,9 @@ from intervalcast.scoring import (
     ScoredForecast,
     WisWeights,
     aggregate_report,
+    coverage_rate,
     interval_score,
+    mean,
     weighted_interval_score,
     wis_from_scores,
 )
@@ -741,7 +743,7 @@ def run_tuning(
     for window, emethod, qmethod in grid:
         for variable in variables:
             for horizon in HORIZONS:
-                observations: list[tuple[dict[float, object], float]] = []
+                observations: list[tuple[dict[float, PredictionInterval], float]] = []
                 for target, year, point, outcome in scorable[(variable, horizon)]:
                     try:
                         errs = history.error_set(
@@ -768,7 +770,7 @@ def _tuning_row(
     qmethod: QuantileMethod,
     variable: str,
     horizon: Horizon,
-    observations: list[tuple[dict[float, object], float]],
+    observations: list[tuple[dict[float, PredictionInterval], float]],
     levels: tuple[float, ...],
 ) -> TuningRow:
     if not observations:
@@ -777,20 +779,18 @@ def _tuning_row(
             variable=variable, horizon=horizon.label, mean_wis=None, coverage={},
             n=0, feasible=False,
         )
+    # The backtest's cell formulas, so tuning and backtest share every statistic.
     weights = WisWeights(levels)
     wis_values = [
-        weighted_interval_score(intervals, outcome, weights)  # type: ignore[arg-type]
-        for intervals, outcome in observations
+        weighted_interval_score(intervals, outcome, weights) for intervals, outcome in observations
     ]
     coverage = {
-        tau: sum(1 for intervals, outcome in observations if intervals[tau].contains(outcome))  # type: ignore[union-attr]
-        / len(observations)
+        tau: coverage_rate([(intervals[tau], outcome) for intervals, outcome in observations])
         for tau in levels
     }
     return TuningRow(
         window=window, error_method=emethod.value, quantile_method=qmethod.value,
-        variable=variable, horizon=horizon.label,
-        mean_wis=sum(wis_values) / len(wis_values),
+        variable=variable, horizon=horizon.label, mean_wis=mean(wis_values),
         coverage=coverage, n=len(observations), feasible=True,
     )
 

@@ -189,7 +189,8 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _mean(values: Sequence[float]) -> float:
+def mean(values: Sequence[float]) -> float:
+    """The arithmetic mean, summed left to right: tuning's and the report's."""
     return sum(values) / len(values)
 
 
@@ -200,8 +201,8 @@ def _cell_stats(group: Sequence[ScoredForecast], levels: tuple[float, ...]) -> C
     for tau in levels:
         pairs = [(sf.intervals[tau], sf.outcome) for sf in group]
         coverage[tau] = coverage_rate(pairs)
-        mean_length[tau] = _mean([sf.intervals[tau].length for sf in group])
-        mean_is[tau] = _mean([sf.scores[tau].total for sf in group])
+        mean_length[tau] = mean([sf.intervals[tau].length for sf in group])
+        mean_is[tau] = mean([sf.scores[tau].total for sf in group])
     # Component means are taken on the same weighted-average scale as the WIS
     # so that dispersion + over + under sums to the mean WIS per cell.
     wts = WisWeights(levels)
@@ -214,10 +215,10 @@ def _cell_stats(group: Sequence[ScoredForecast], levels: tuple[float, ...]) -> C
 
     return CellStats(
         n=len(group),
-        mean_wis=_mean([sf.wis for sf in group]),
-        mean_dispersion=_mean([wis_component(sf, "dispersion") for sf in group]),
-        mean_overprediction=_mean([wis_component(sf, "overprediction") for sf in group]),
-        mean_underprediction=_mean([wis_component(sf, "underprediction") for sf in group]),
+        mean_wis=mean([sf.wis for sf in group]),
+        mean_dispersion=mean([wis_component(sf, "dispersion") for sf in group]),
+        mean_overprediction=mean([wis_component(sf, "overprediction") for sf in group]),
+        mean_underprediction=mean([wis_component(sf, "underprediction") for sf in group]),
         coverage=coverage,
         mean_length=mean_length,
         mean_is=mean_is,

@@ -26,7 +26,8 @@ class TestIngest:
         assert summary["countries"] == ["AAA", "BBB"]
         assert summary["variables"] == ["gdp"]
         canonical = (out / "panel_canonical.csv").read_text()
-        assert canonical == open(panel_path).read()
+        with open(panel_path) as fh:
+            assert canonical == fh.read()
 
     def test_bad_schema_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from intervalcast.domain import (
     HORIZONS,
-    ForecastRecord,
     Horizon,
     ReleaseDate,
     Season,
-    TargetId,
     UnsupportedHorizonError,
     horizon_of,
     validate_levels,
@@ -38,8 +36,6 @@ def test_horizon_total_order():
         < Horizon.FALL_NEXT
         < Horizon.SPRING_NEXT
     )
-    times = [h.time_to_target for h in HORIZONS]
-    assert times == [0.25, 0.75, 1.25, 1.75]
     # Antisymmetry and transitivity over all pairs/triples.
     for a, b in itertools.product(HORIZONS, repeat=2):
         assert not (a < b and b < a)
@@ -67,14 +63,6 @@ def test_release_date_ordering():
     assert ReleaseDate(2022, Season.SPRING) < ReleaseDate(2022, Season.FALL)
     assert ReleaseDate(2022, Season.FALL) < ReleaseDate(2023, Season.SPRING)
     assert str(ReleaseDate(2022, Season.FALL)) == "2022F"
-
-
-def test_forecast_record_horizon_consistency():
-    target = TargetId("USA", "gdp")
-    with pytest.raises(UnsupportedHorizonError):
-        ForecastRecord(target, ReleaseDate(2022, Season.FALL), 2025, 1.0)
-    with pytest.raises(ValueError):
-        ForecastRecord(target, ReleaseDate(2022, Season.FALL), 2022, float("nan"))
 
 
 def test_validate_levels():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intervalcast.benchmark import QuarterlySeries, QuarterlyTruthSelector
-from intervalcast.domain import HORIZONS, ReleaseDate, Season, TargetId
+from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, Season, TargetId
 from intervalcast.errorsets import (
     ErrorMethod,
     ErrorSet,
@@ -46,8 +46,9 @@ from intervalcast.pipeline import (
     write_backtest_outputs,
 )
 from intervalcast.quantile import QuantileMethod, empirical_quantile
+from intervalcast.scoring import interval_score
 
-from conftest import make_panel, without
+from conftest import make_panel, tuning_cell, without
 from test_intervals import rescanning_pool
 
 TARGET = TargetId("AAA", "gdp")
@@ -280,9 +281,12 @@ def test_provider_rejects_windows_outside_its_range(small_panel):
             history.error_set(TARGET, HORIZONS[0], 2020, origin, ErrorMethod.ABSOLUTE, w)
 
 
-def reference_tuning(config, panel, grid) -> TuningReport:
-    """Tuning as it ran before the provider: every set rebuilt for every
-    window of the feasibility check and again for each grid point."""
+def reference_observations(config, panel, grid):
+    """Tuning's scored (intervals, outcome) pairs per grid point and
+    (variable, horizon) cell, as it ran before the provider: every set
+    rebuilt for every window of the feasibility check and again for each
+    grid point. Yields ``((window, emethod, qmethod, variable, horizon),
+    observations)``."""
     t0, t1 = config.train_span
     cutoff = ReleaseDate(t1 + 1, Season.FALL)
     view = ForecastPanel(
@@ -294,7 +298,6 @@ def reference_tuning(config, panel, grid) -> TuningReport:
     )
     truths = PanelTruthSelector(view, config.truth_rule, mode="construction")
     all_windows = sorted({w for w, _, _ in grid})
-    report = TuningReport(levels=config.levels)
     targets = _targets(view)
     variables = sorted({t.variable for t in targets})
     for window, emethod, qmethod in grid:
@@ -335,10 +338,18 @@ def reference_tuning(config, panel, grid) -> TuningReport:
                             for tau in config.levels
                         }
                         observations.append((intervals, outcome))
-                report.rows.append(
-                    _tuning_row(window, emethod, qmethod, variable, horizon,
-                                observations, config.levels)
-                )
+                yield (window, emethod, qmethod, variable, horizon), observations
+
+
+def reference_tuning(config, panel, grid) -> TuningReport:
+    """Tuning's report from the reference observations."""
+    report = TuningReport(levels=config.levels)
+    for (window, emethod, qmethod, variable, horizon), observations in reference_observations(
+        config, panel, grid
+    ):
+        report.rows.append(
+            _tuning_row(window, emethod, qmethod, variable, horizon, observations, config.levels)
+        )
     return report
 
 
@@ -374,6 +385,33 @@ def test_tuning_output_is_byte_identical_to_rebuilding_loop(panel, config, grid)
     actual = run_tuning(config, panel, grid)
     assert actual.to_csv() == expected.to_csv()
     assert actual.to_json() == expected.to_json()
+
+
+def test_tuning_statistics_match_a_hand_computation():
+    """One feasible cell's mean WIS and coverage, recomputed from
+    ``interval_score`` in the backtest's summation order, exact by ``repr``."""
+    panel, config = make_panel(countries=("AAA",)), RunConfig()
+    grid = [(11, ErrorMethod.DIRECTIONAL, QuantileMethod.LINEAR)]
+    observations = dict(reference_observations(config, panel, grid))[
+        (*grid[0], "gdp", Horizon.SPRING_NEXT)
+    ]
+    weights = [(1.0 - tau) / 2.0 for tau in config.levels]
+    wis = []
+    for intervals, outcome in observations:
+        acc = 0.0
+        for tau, w in zip(config.levels, weights):
+            pi = intervals[tau]
+            acc += w * interval_score(pi.lower, pi.upper, outcome, tau).total
+        wis.append(acc / sum(weights))
+    row = tuning_cell(run_tuning(config, panel, grid), 11, "directional", "type7", "gdp",
+                      "spring-next")
+    assert row.feasible and row.n == len(observations) > 0
+    assert repr(row.mean_wis) == repr(sum(wis) / len(wis))
+    for tau in config.levels:
+        inside = sum(
+            1 for intervals, y in observations if intervals[tau].lower <= y <= intervals[tau].upper
+        )
+        assert repr(row.coverage[tau]) == repr(inside / len(observations))
 
 
 def test_reimport_leaves_one_target_class_alive():

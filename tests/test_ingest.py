@@ -77,6 +77,18 @@ class TestParseForecastPanel:
         with pytest.raises(SchemaMismatchError, match="non-finite"):
             parse(["AAA,gdp,forecast,2020,F,2020,NA,NA,inf"])
 
+    @pytest.mark.parametrize("row, message", [
+        ("AAA,gdp,forecast,2020,F,2025,NA,NA,1.0",
+         "unsupported horizon: origin 2020F cannot target year 2025"),
+        ("AAA,gdp,realization,NA,NA,2020,2019,F,1.0", "vintage 2019F predates target year 2020"),
+        ("AAA,gdp,forecast,2020,X,2020,NA,NA,1.0", "unknown season 'X' (expected S or F)"),
+        (",gdp,forecast,2020,F,2020,NA,NA,1.0", "country and variable must be nonempty"),
+    ], ids=["horizon", "vintage", "season", "country"])
+    def test_row_errors_name_their_line(self, row, message):
+        with pytest.raises(ValueError) as info:
+            parse(["AAA,gdp,forecast,2020,F,2020,NA,NA,2.5", row])
+        assert str(info.value) == f"line 3: {message}"
+
     def test_canonical_roundtrip_is_idempotent(self):
         panel = make_panel(countries=("AAA",), last_year=1995)
         text = panel.to_canonical_csv()
@@ -275,6 +287,10 @@ class TestParseQuarterly:
     def test_bad_quarter_rejected(self):
         with pytest.raises(SchemaMismatchError, match="quarter must be 1-4"):
             parse_q(["AAA,gdp,2020,5,1.0"])
+
+    def test_empty_country_names_its_line(self):
+        with pytest.raises(ValueError, match="^line 2: country and variable must be nonempty$"):
+            parse_q([",gdp,2020,1,1.0"])
 
     def test_index_variable_set_is_configurable(self):
         series = parse_q(
