@@ -60,10 +60,10 @@ class QuarterlySeries:
         """Observed values of the longest gap-free run ending at ``last``
         (newest last); empty if ``last`` itself is unobserved."""
         values: list[float] = []
-        i = _q_index(last)
-        while _q_from_index(i) in self.growth:
-            values.append(self.growth[_q_from_index(i)])
-            i -= 1
+        growth, (year, quarter) = self.growth.get, last
+        while (value := growth((year, quarter))) is not None:
+            values.append(value)
+            year, quarter = (year, quarter - 1) if quarter > 1 else (year - 1, 4)
         values.reverse()
         return values
 

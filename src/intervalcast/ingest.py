@@ -67,7 +67,7 @@ class ForecastPanel:
 
     The constructor copies both mappings once and exposes read-only views;
     no attribute can be reassigned, so a variant is a new panel. The vintage
-    index and the input digest are built once, on first use.
+    index, target list, input digest and grid memo are built on first use.
     """
 
     forecasts: Mapping[tuple[TargetId, ReleaseDate, int], float]
@@ -98,6 +98,16 @@ class ForecastPanel:
         return {key: tuple(sorted(pairs)) for key, pairs in index.items()}
 
     @cached_property
+    def targets(self) -> tuple[TargetId, ...]:
+        """The panel's forecast targets, sorted by country, then variable."""
+        return tuple(sorted({t for (t, _, _) in self._forecasts}, key=lambda t: (t.country, t.variable)))
+
+    @cached_property
+    def _grids(self) -> dict[tuple, dict]:
+        """The pipeline's IMF grids on this panel, by the config fields they use."""
+        return {}
+
+    @cached_property
     def content_tag(self) -> str:
         """The ``generated_at`` tag of forecast files: ``input-`` and 16 hex
         digits of the SHA-256 of the canonical CSV."""
@@ -105,10 +115,10 @@ class ForecastPanel:
         return f"input-{digest[:16]}"
 
     def countries(self) -> list[str]:
-        return sorted({t.country for (t, _, _) in self._forecasts})
+        return sorted({t.country for t in self.targets})
 
     def variables(self) -> list[str]:
-        return sorted({t.variable for (t, _, _) in self._forecasts})
+        return sorted({t.variable for t in self.targets})
 
     def max_vintage(self) -> Optional[ReleaseDate]:
         vintages = [v for (_, _, v) in self._realizations]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from operator import gt, lt
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, TargetId
@@ -106,6 +107,9 @@ class GridCell:
     source_years: tuple[int, ...] = ()
     skipped_years: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:  # a panel shares its grids between runs
+        object.__setattr__(self, "offsets", MappingProxyType(dict(self.offsets)))
+
     def interval(self, tau: float) -> PredictionInterval:
         return interval_from_offsets(self.point, tau, self.offsets[tau])
 
@@ -115,13 +119,16 @@ class IntervalGrid:
     """Interval offsets for (a subset of) the four horizons at one origin.
 
     ``blocks`` records the pooled-block sizes after the monotonicity
-    correction (None before correction).
+    correction (None before correction). ``cells`` is a read-only copy.
     """
 
     target: TargetId
     origin: ReleaseDate
     cells: Mapping[Horizon, GridCell]
     blocks: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
 
     @property
     def horizons(self) -> tuple[Horizon, ...]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from intervalcast import benchmark
 from intervalcast.benchmark import (
@@ -120,9 +120,11 @@ class RunConfig:
             raise ValueError("spans must be ordered (first <= last)")
         if t1 >= h0:
             raise ValueError("training and holdout spans must be disjoint and ordered")
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in ("imf", "ar", "external"):
                 raise ValueError(f"unknown method {m!r}")
+            if m in self.methods[:i]:
+                raise ValueError(f"method {m!r} listed twice")
 
 
 def parse_exclusions(tokens: Iterable[str]) -> tuple[tuple[str, int, int], ...]:
@@ -198,28 +200,19 @@ def config_json(config: RunConfig) -> str:
 
 
 def outstanding_cells(origin: ReleaseDate) -> dict[Horizon, tuple[ReleaseDate, int]]:
-    """Most recent (forecast-origin, target-year) per horizon as of ``origin``."""
-    y = origin.year
-    if origin.season is Season.FALL:
-        return {
-            Horizon.FALL_CURRENT: (ReleaseDate(y, Season.FALL), y),
-            Horizon.SPRING_CURRENT: (ReleaseDate(y, Season.SPRING), y),
-            Horizon.FALL_NEXT: (ReleaseDate(y, Season.FALL), y + 1),
-            Horizon.SPRING_NEXT: (ReleaseDate(y, Season.SPRING), y + 1),
-        }
-    return {
-        Horizon.FALL_CURRENT: (ReleaseDate(y - 1, Season.FALL), y - 1),
-        Horizon.SPRING_CURRENT: (ReleaseDate(y, Season.SPRING), y),
-        Horizon.FALL_NEXT: (ReleaseDate(y - 1, Season.FALL), y),
-        Horizon.SPRING_NEXT: (ReleaseDate(y, Season.SPRING), y + 1),
-    }
+    """Most recent (forecast-origin, target-year) per horizon as of ``origin``,
+    in horizon order: each from the latest release of its season up to ``origin``."""
+    cells: dict[Horizon, tuple[ReleaseDate, int]] = {}
+    for horizon in HORIZONS:
+        season, offset = horizon.value  # one enum read for both fields, once per grid
+        issued = ReleaseDate(origin.year - (season is Season.FALL and origin.season is Season.SPRING), season)
+        cells[horizon] = (issued, issued.year + offset)
+    return cells
 
 
 def fresh_horizons(origin: ReleaseDate) -> tuple[Horizon, ...]:
     """Horizons newly issued at ``origin`` (the origin's own season)."""
-    if origin.season is Season.FALL:
-        return (Horizon.FALL_CURRENT, Horizon.FALL_NEXT)
-    return (Horizon.SPRING_CURRENT, Horizon.SPRING_NEXT)
+    return tuple(h for h in HORIZONS if h.season is origin.season)
 
 
 class ErrorHistory:
@@ -410,10 +403,26 @@ def _method_data(
     return out
 
 
-def _targets(panel: ForecastPanel) -> list[TargetId]:
-    return sorted(
-        {t for (t, _, _) in panel.forecasts}, key=lambda t: (t.country, t.variable)
-    )
+def _grids_of(
+    config: RunConfig, panel: ForecastPanel, method: MethodData, target: TargetId
+) -> Callable[[ReleaseDate], tuple[Optional[IntervalGrid], tuple[str, ...]]]:
+    """``origin -> (grid or None, gaps)`` for one method and target. The panel
+    keeps IMF grids, which depend only on it and five config fields; other
+    sources read inputs it lacks. One error history serves a target's origins."""
+    key = (config.truth_rule, config.window, config.error_method, config.quantile_method, config.levels)
+    grids = panel._grids.setdefault(key, {}) if method.label == "imf" else {}
+    history: Optional[ErrorHistory] = None
+
+    def grid_at(origin: ReleaseDate) -> tuple[Optional[IntervalGrid], tuple[str, ...]]:
+        nonlocal history
+        found = grids.get((target, origin))
+        if found is None:
+            history = history or ErrorHistory(method.forecasts, method.error_truths, config.window)
+            grid, gaps = build_grid(history, target, origin, config)
+            found = grids[(target, origin)] = (grid, tuple(gaps))
+        return found
+
+    return grid_at
 
 
 def _eval_as_of(config: RunConfig, panel: ForecastPanel) -> ReleaseDate:
@@ -460,12 +469,10 @@ def run_backtest(
         for season in (Season.SPRING, Season.FALL)
     ]
     for method in _method_data(config, panel, quarterly, external):
-        for target in _targets(panel):
-            # Sets and truths are keyed by target, so a provider per target
-            # loses no reuse and holds one target's sets at a time.
-            history = ErrorHistory(method.forecasts, method.error_truths, config.window)
+        for target in panel.targets:
+            grid_at = _grids_of(config, panel, method, target)
             for origin in origins:
-                grid, grid_gaps = build_grid(history, target, origin, config)
+                grid, grid_gaps = grid_at(origin)
                 gaps.extend(grid_gaps)
                 if grid is None:
                     continue
@@ -721,13 +728,12 @@ def run_tuning(
     view = panel.until_vintage(cutoff, t1)
     truths = PanelTruthSelector(view, config.truth_rule, mode="construction")
     history = ErrorHistory(view.forecast, truths, max(w for w, _, _ in grid))
-    targets = _targets(view)
-    variables = sorted({t.variable for t in targets})
+    variables = view.variables()
     # Scorable (target, year, point, outcome) per (variable, horizon) cell.
     scorable: dict[tuple[str, Horizon], list[tuple[TargetId, int, float, float]]] = {
         (variable, horizon): [] for variable in variables for horizon in HORIZONS
     }
-    for target in targets:
+    for target in view.targets:
         for year in range(t0, t1 + 1):
             try:
                 outcome = select_truth(
@@ -820,9 +826,8 @@ def produce_forecast(
     writer.writerow(FORECAST_FILE_HEADER)
     gaps: list[str] = []
     for method in _method_data(config, panel, quarterly, external):
-        for target in _targets(panel):
-            history = ErrorHistory(method.forecasts, method.error_truths, config.window)
-            grid, grid_gaps = build_grid(history, target, origin, config)
+        for target in panel.targets:
+            grid, grid_gaps = _grids_of(config, panel, method, target)(origin)
             gaps.extend(grid_gaps)
             if grid is None:
                 continue

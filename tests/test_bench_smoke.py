@@ -1,5 +1,5 @@
-"""One short round of each benchmark workload: ``tune`` untraced and traced,
-``paper`` and ``wide`` untraced.
+"""One short round of each benchmark workload: ``tune`` and ``paper``
+untraced and traced, ``wide`` untraced.
 
 The tracer wraps the package's functions by the names their callers use, so a
 refactor that drops one of those names fails here. The ``paper`` and ``wide``
@@ -41,6 +41,14 @@ def test_paper_round_is_correct():
     # ``intervalcast report`` rebuilds the report from audit.json and
     # run.json through the backtest's own aggregation, so no operation fails.
     assert (result["failed"], result["attempted"]) == (0, 24)
+
+
+def test_traced_paper_round_reuses_the_backtests_grids():
+    metrics = bench_round("paper", "1")["metrics"]
+    # The 22 forecast files reuse the backtest's IMF grids (3,920 builds
+    # when each file built its own), and each (target, origin) fits AR(1) once.
+    assert metrics["errorsets.build_calls"]["value"] == 2688
+    assert metrics["benchmark.fit_calls"]["value"] == 672
 
 
 def test_wide_round_is_correct():

@@ -214,6 +214,13 @@ class TestBadInput:
         assert code == 1
         self._assert_one_line_error(capsys, "bad config value for exclude", fragment)
 
+    def test_repeated_method_exits_one(self, panel_path, tmp_path, capsys):
+        code = main(["backtest", "--data", panel_path, "--methods", "imf,imf",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        self._assert_one_line_error(capsys, "method 'imf' listed twice")
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_audit_exits_one(self, tmp_path, capsys):
         audit = tmp_path / "audit.json"
         audit.write_text(json.dumps([{"country": "AAA", "wis": 1.0}]))

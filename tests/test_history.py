@@ -37,7 +37,6 @@ from intervalcast.pipeline import (
     RunConfig,
     TuningReport,
     _ar_lookup,
-    _targets,
     _tuning_row,
     outstanding_cells,
     produce_forecast,
@@ -298,7 +297,7 @@ def reference_observations(config, panel, grid):
     )
     truths = PanelTruthSelector(view, config.truth_rule, mode="construction")
     all_windows = sorted({w for w, _, _ in grid})
-    targets = _targets(view)
+    targets = view.targets
     variables = sorted({t.variable for t in targets})
     for window, emethod, qmethod in grid:
         for variable in variables:
@@ -554,6 +553,8 @@ def test_backtest_and_forecasts_are_byte_identical_to_per_origin_path(
     actual = _backtest_files(config, panel, quarterly, tmp_path / "actual")
     monkeypatch.setattr(pipeline, "ErrorHistory", ParentErrorHistory)
     monkeypatch.setattr(pipeline, "build_grid", parent_build_grid)
+    # A fresh panel: ``panel`` holds the grids of the run above.
+    panel, quarterly = _golden_inputs()
     expected = _backtest_files(config, panel, quarterly, tmp_path / "expected")
     assert actual == expected
     rows = json.loads(actual[0]["audit.json"])

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from intervalcast.benchmark import QuarterlySeries
 from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, Season, TargetId, horizon_of
 from intervalcast.errorsets import ErrorMethod
 from intervalcast.ingest import FallbackRule, ForecastPanel, PanelTruthSelector
+from intervalcast.intervals import IntervalOffsets
 from intervalcast.pipeline import (
     ErrorHistory,
     RunConfig,
@@ -130,6 +131,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key.*quantile, windw"):
             load_config(None, windw=9, quantile="type1")
 
+    @pytest.mark.parametrize("methods", [("imf", "imf"), ("imf", "ar", "imf"), ("ar", "ar")])
+    def test_repeated_method_rejected_by_name(self, methods):
+        # Accepted before: each forecast of the label was scored once per listing.
+        with pytest.raises(ValueError, match=f"method '{methods[-1]}' listed twice"):
+            RunConfig(methods=methods)
+        with pytest.raises(ValueError, match="listed twice"):
+            load_config(None, methods=",".join(methods))
+
 
 class TestGridLayout:
     def test_fall_origin_cells(self):
@@ -209,6 +218,21 @@ class TestBuildGrid:
         grid, _ = build_grid(history, TARGET, origin, config)
         assert grid.blocks == (1,)
         assert {repr(offs.lower) for offs in grid.cells[Horizon.FALL_CURRENT].offsets.values()} == {"-0.0"}
+
+
+def ar_quarterly(targets, seed):
+    """AR(1) quarterly growth, 1950-2024, for each of ``targets``."""
+    rng = np.random.default_rng(seed)
+    quarterly = {}
+    for target in targets:
+        growth = {}
+        x = 0.5
+        for year in range(1950, 2025):
+            for q in (1, 2, 3, 4):
+                x = 0.3 + 0.5 * x + float(rng.normal(0.0, 0.4))
+                growth[(year, q)] = x
+        quarterly[target] = QuarterlySeries(target=target, growth=growth)
+    return quarterly
 
 
 def backtest_panel(n_countries=6, seed=5):
@@ -294,19 +318,8 @@ class TestRunBacktest:
 
     def test_ar_method_runs_on_quarterly_data(self):
         panel = backtest_panel(2)
-        rng = np.random.default_rng(9)
-        quarterly = {}
-        for country in ("AAA", "BBB"):
-            target = TargetId(country, "gdp")
-            growth = {}
-            x = 0.5
-            for year in range(1950, 2025):
-                for q in (1, 2, 3, 4):
-                    x = 0.3 + 0.5 * x + float(rng.normal(0.0, 0.4))
-                    growth[(year, q)] = x
-            quarterly[target] = QuarterlySeries(target=target, growth=growth)
         config = RunConfig(methods=("ar",))
-        result = run_backtest(config, panel, quarterly=quarterly)
+        result = run_backtest(config, panel, quarterly=ar_quarterly(panel.targets, seed=9))
         assert result.scored
         assert {sf.method for sf in result.scored} == {"ar"}
 
@@ -490,6 +503,72 @@ class TestProduceForecast:
         text, gaps = produce_forecast(RunConfig(), panel, ReleaseDate(2023, Season.FALL))
         assert text.strip().splitlines() == [text.strip().splitlines()[0]]
         assert gaps
+
+
+class TestGridMemo:
+    """A panel keeps the IMF grids it built; a later run on it reuses one only
+    under the same grid settings."""
+
+    ORIGIN = ReleaseDate(2014, Season.FALL)  # inside the backtest's origins
+    # At window 11 the type-1 and type-7 quantiles agree at levels 0.5 and 0.8.
+    BASE = RunConfig(window=10)
+
+    @staticmethod
+    def panel():
+        panel = make_panel(countries=("AAA", "BBB"), variables=("gdp", "cpi"), seed=3)
+        # Without these fall releases the truth rule changes AAA/gdp's sets.
+        return without(panel, realizations=[
+            (TargetId("AAA", "gdp"), year, ReleaseDate(year + 1, Season.FALL)) for year in (2008, 2010)
+        ])
+
+    @staticmethod
+    def fresh(panel):
+        return ForecastPanel(panel.forecasts, panel.realizations)
+
+    def test_forecast_inside_the_backtest_builds_no_grid(self, monkeypatch):
+        panel = self.panel()
+        run_backtest(self.BASE, panel)
+        calls = []
+        build = pipeline.build_grid
+        monkeypatch.setattr(pipeline, "build_grid", lambda *args: calls.append(args) or build(*args))
+        reused = produce_forecast(self.BASE, panel, self.ORIGIN)
+        assert calls == []
+        assert reused == produce_forecast(self.BASE, self.fresh(panel), self.ORIGIN)
+        assert len(calls) == 4  # one grid per target on the fresh panel
+
+    @pytest.mark.parametrize("change", [
+        {"window": 8},
+        {"levels": (0.5, 0.9)},
+        {"error_method": ErrorMethod.DIRECTIONAL},
+        {"quantile_method": QuantileMethod.INVERSE_ECDF},
+        {"truth_rule": FallbackRule.NONE},
+    ])
+    def test_forecast_under_other_grid_settings_matches_a_fresh_panel(self, change):
+        panel = self.panel()
+        run_backtest(self.BASE, panel)
+        config = replace(self.BASE, **change)
+        changed = produce_forecast(config, panel, self.ORIGIN)
+        assert changed == produce_forecast(config, self.fresh(panel), self.ORIGIN)
+        # The setting moves the file, so a memo blind to it would fail above.
+        assert changed != produce_forecast(self.BASE, self.fresh(panel), self.ORIGIN)
+
+    def test_ar_forecast_follows_a_swapped_quarterly_input(self):
+        panel = self.panel()
+        first, second = ar_quarterly(panel.targets, seed=9), ar_quarterly(panel.targets, seed=10)
+        config = replace(self.BASE, methods=("imf", "ar"))
+        run_backtest(config, panel, quarterly=first)
+        produce_forecast(config, panel, self.ORIGIN, quarterly=first)
+        swapped = produce_forecast(config, panel, self.ORIGIN, quarterly=second)
+        assert swapped == produce_forecast(config, self.fresh(panel), self.ORIGIN, quarterly=second)
+        assert swapped != produce_forecast(config, self.fresh(panel), self.ORIGIN, quarterly=first)
+
+    def test_grids_are_read_only(self):
+        grid = run_backtest(self.BASE, self.panel()).grids[0]
+        horizon, cell = next(iter(grid.cells.items()))
+        with pytest.raises(TypeError):
+            grid.cells[horizon] = cell
+        with pytest.raises(TypeError):
+            cell.offsets[0.5] = IntervalOffsets(-1.0, 1.0)
 
 
 def test_run_json_reads_back_as_the_run_config(tmp_path):
