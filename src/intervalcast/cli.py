@@ -97,15 +97,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_tune(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     panel = _load_panel(config.data)
-    windows = (
-        [int(v) for v in args.grid_windows.split(",")]
-        if args.grid_windows
-        else list(range(4, 12))
-    )
-    error_methods = [ErrorMethod.ABSOLUTE, ErrorMethod.DIRECTIONAL]
-    grid = [
-        (w, em, config.quantile_method) for w in windows for em in error_methods
-    ]
+    windows = list(range(4, 12))
+    if args.grid_windows:
+        try:
+            windows = [int(v) for v in args.grid_windows.split(",")]
+        except ValueError:
+            raise ValueError(f"--grid-windows takes comma-separated integers, got {args.grid_windows!r}") from None
+    grid = [(w, em, config.quantile_method) for w in windows for em in ErrorMethod]
     report = run_tuning(config, panel, grid)
     os.makedirs(config.out, exist_ok=True)
     for name, text in (("tuning.csv", report.to_csv()), ("tuning.json", report.to_json())):
@@ -154,7 +152,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     unknown."""
     audit_path = args.audit or os.path.join(_config_from_args(args).out, "audit.json")
     with open(audit_path, encoding="utf-8") as fh:
-        scored = scored_from_audit(json.load(fh))
+        rows = json.load(fh)
+    if not isinstance(rows, list):
+        raise ValueError(f"{audit_path}: an audit must be an array of objects, not {type(rows).__name__}")
+    scored = scored_from_audit(rows)
     run_json = os.path.join(os.path.dirname(audit_path), "run.json")
     known = bool(args.config) or os.path.exists(run_json)
     if not known:

@@ -55,6 +55,20 @@ class PredictionInterval:
         return self.lower <= outcome <= self.upper
 
 
+def offset_taus(levels: Sequence[float], method: ErrorMethod) -> tuple[float, ...]:
+    """The quantile levels that ``level_rows`` reads."""
+    if method is ErrorMethod.ABSOLUTE:
+        return tuple(levels)
+    return tuple(t for tau in levels for t in ((1.0 - tau) / 2.0, (1.0 + tau) / 2.0))
+
+
+def offset_rows(qs: list[float], method: ErrorMethod) -> tuple[list[float], list[float]]:
+    """Lower and upper offsets from the quantiles read at ``offset_taus``."""
+    if method is ErrorMethod.ABSOLUTE:
+        return [-q for q in qs], qs
+    return qs[0::2], qs[1::2]
+
+
 def level_rows(
     errs: ErrorSet,
     levels: Sequence[float],
@@ -66,12 +80,8 @@ def level_rows(
     Absolute errors give symmetric offsets +-q_tau; directional errors give
     the (1-tau)/2 and (1+tau)/2 quantiles of the signed errors.
     """
-    if errs.method is ErrorMethod.ABSOLUTE:
-        qs = empirical_quantiles(errs.errors, levels, method)
-        return [-q for q in qs], qs
-    taus = [t for tau in levels for t in ((1.0 - tau) / 2.0, (1.0 + tau) / 2.0)]
-    qs = empirical_quantiles(errs.errors, taus, method)
-    return qs[0::2], qs[1::2]
+    qs = empirical_quantiles(errs.errors, offset_taus(levels, errs.method), method)
+    return offset_rows(qs, errs.method)
 
 
 def offsets_for(

@@ -13,9 +13,11 @@ from __future__ import annotations
 import io
 import json
 import csv
+import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from bisect import insort
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -62,23 +64,25 @@ from intervalcast.intervals import (
     IntervalOffsets,
     PredictionInterval,
     enforce_horizon_monotonicity,  # noqa: F401  (looked up here by the benchmark's tracer)
-    interval_from_offsets,
     level_rows,
-    offsets_for,
+    offset_rows,
+    offset_taus,
+    offsets_for,  # noqa: F401  (likewise)
     pool_level_rows,
 )
-from intervalcast.quantile import QuantileMethod
+from intervalcast.quantile import InvalidErrorValueError, QuantileMethod, index_table, read_sorted
 from intervalcast.scoring import (
     EvaluationReport,
     ScoreDecomposition,
     ScoredForecast,
     WisWeights,
     aggregate_report,
-    coverage_rate,
     interval_score,
     mean,
-    weighted_interval_score,
+    score_parts,
+    weighted_interval_score,  # noqa: F401  (likewise)
     wis_from_scores,
+    wis_of_totals,
 )
 
 
@@ -151,7 +155,9 @@ def load_config(path: Optional[str] = None, **overrides: object) -> RunConfig:
     raw: dict[str, object] = {}
     if path:
         with open(path, encoding="utf-8") as fh:
-            raw.update(json.load(fh))
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config file {path} must hold a JSON object, not {type(raw).__name__}")
     raw.update({k: v for k, v in overrides.items() if v is not None})
     unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
     if unknown:
@@ -219,10 +225,10 @@ class ErrorHistory:
     """Error sets of one forecast source, each built once.
 
     Each (target, horizon, anchor year, origin, error method) set is built at
-    ``max_window``, the longest window any caller asks for; a shorter window w
-    is served as its first w entries, exactly what a build at window w
-    returns. A set infeasible at ``max_window`` raises
-    ``InsufficientHistoryError`` for every window. Sets are walked over rows
+    ``max_window``, the longest window any caller asks for; a caller that
+    needs a shorter window w reads the set's first w entries, exactly what a
+    build at window w returns. A set infeasible at ``max_window`` raises
+    ``InsufficientHistoryError`` on every request. Sets are walked over rows
     filled on first use: settled ``year -> (first release, error)`` per (target,
     horizon, method), ``year -> point`` per (target, horizon), and, for years
     not yet settled, ``year -> truth`` per (target, origin)."""
@@ -243,10 +249,7 @@ class ErrorHistory:
         anchor_year: int,
         origin: ReleaseDate,
         method: ErrorMethod,
-        window: int,
     ) -> ErrorSet:
-        if not 1 <= window <= self.max_window:
-            raise ValueError(f"window length must be in 1..{self.max_window}, got {window}")
         key = (target, horizon, anchor_year, origin, method)
         full = self._sets.get(key)
         if full is None:
@@ -270,15 +273,7 @@ class ErrorHistory:
             self._sets[key] = full
         if isinstance(full, InsufficientHistoryError):
             raise full.with_traceback(None)
-        if window == self.max_window:
-            return full
-        oldest = full.source_years[window - 1]
-        return replace(
-            full,
-            errors=full.errors[:window],
-            source_years=full.source_years[:window],
-            skipped_years=tuple(y for y in full.skipped_years if y > oldest),
-        )
+        return full
 
 
 def _settled_entry(found, points: YearRow, year: int, method: ErrorMethod) -> tuple[int, Optional[float]]:
@@ -308,9 +303,7 @@ def build_grid(
             )
             continue
         try:
-            errs = history.error_set(
-                target, horizon, target_year, origin, config.error_method, config.window
-            )
+            errs = history.error_set(target, horizon, target_year, origin, config.error_method)
         except InsufficientHistoryError as exc:
             gaps.append(f"{target.country}/{target.variable} {origin} {horizon.label}: {exc}")
             continue
@@ -670,43 +663,22 @@ class TuningReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        header = ["window", "error_method", "quantile_method", "variable", "horizon",
-                  "mean_wis", "n", "feasible"]
-        header += [f"coverage_{tau}" for tau in self.levels]
-        writer.writerow(header)
-        for row in self.rows:
-            line = [
-                row.window, row.error_method, row.quantile_method, row.variable,
-                row.horizon,
-                "" if row.mean_wis is None else format(row.mean_wis, ".10g"),
-                row.n, int(row.feasible),
-            ]
-            line += [
-                "" if tau not in row.coverage else format(row.coverage[tau], ".10g")
-                for tau in self.levels
-            ]
-            writer.writerow(line)
+        writer.writerow(["window", "error_method", "quantile_method", "variable", "horizon",
+                         "mean_wis", "n", "feasible", *(f"coverage_{tau}" for tau in self.levels)])
+        for r in self.rows:
+            writer.writerow([
+                r.window, r.error_method, r.quantile_method, r.variable, r.horizon,
+                "" if r.mean_wis is None else format(r.mean_wis, ".10g"), r.n, int(r.feasible),
+                *("" if tau not in r.coverage else format(r.coverage[tau], ".10g") for tau in self.levels),
+            ])
         return buf.getvalue()
 
     def to_json(self) -> str:
-        payload = {
-            "levels": list(self.levels),
-            "rows": [
-                {
-                    "window": r.window,
-                    "error_method": r.error_method,
-                    "quantile_method": r.quantile_method,
-                    "variable": r.variable,
-                    "horizon": r.horizon,
-                    "mean_wis": r.mean_wis,
-                    "coverage": {str(tau): c for tau, c in sorted(r.coverage.items())},
-                    "n": r.n,
-                    "feasible": r.feasible,
-                }
-                for r in self.rows
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        rows = [
+            {**asdict(r), "coverage": {str(tau): c for tau, c in sorted(r.coverage.items())}}
+            for r in self.rows
+        ]
+        return json.dumps({"levels": list(self.levels), "rows": rows}, indent=2, sort_keys=True) + "\n"
 
 
 def run_tuning(
@@ -720,9 +692,19 @@ def run_tuning(
     visible. Within each (variable, horizon), scored years start once every
     requested window length is feasible, keeping cells comparable; since
     feasibility is monotone in the window, that is feasibility at the largest.
+    A scored year's errors, taken once at that window, go newest first into
+    one sorted list; each window w of an (error method, quantile method) group
+    reads its levels from the sorted first w, the set a build at w holds.
     """
     if not grid:
         raise ValueError("tuning grid must be nonempty")
+    groups: dict[tuple[ErrorMethod, QuantileMethod], list[int]] = {}
+    for window, emethod, qmethod in grid:
+        windows = groups.setdefault((emethod, qmethod), [])
+        if window < 1 or window in windows:
+            problem = "must be >= 1" if window < 1 else f"listed twice with {emethod.value}, {qmethod.value}"
+            raise ValueError(f"tuning window {window} {problem}")
+        windows.append(window)
     t0, t1 = config.train_span
     cutoff = ReleaseDate(t1 + 1, Season.FALL)
     view = panel.until_vintage(cutoff, t1)
@@ -745,60 +727,52 @@ def run_tuning(
                 point = view.forecast(target, horizon.origin_for(year), year)
                 if point is not None:
                     scorable[(target.variable, horizon)].append((target, year, point, outcome))
-    report = TuningReport(levels=config.levels)
-    for window, emethod, qmethod in grid:
-        for variable in variables:
-            for horizon in HORIZONS:
-                observations: list[tuple[dict[float, PredictionInterval], float]] = []
-                for target, year, point, outcome in scorable[(variable, horizon)]:
-                    try:
-                        errs = history.error_set(
-                            target, horizon, year, horizon.origin_for(year), emethod, window
-                        )
-                    except InsufficientHistoryError:
-                        continue
-                    offsets = offsets_for(errs, config.levels, qmethod)
-                    intervals = {
-                        tau: interval_from_offsets(point, tau, offs)
-                        for tau, offs in offsets.items()
-                    }
-                    observations.append((intervals, outcome))
-                report.rows.append(
-                    _tuning_row(window, emethod, qmethod, variable, horizon,
-                                observations, config.levels)
+    levels, weights = config.levels, WisWeights(config.levels)
+    rows: dict[tuple[int, ErrorMethod, QuantileMethod, str, Horizon], TuningRow] = {}
+    for (emethod, qmethod), windows in groups.items():
+        windows = sorted(windows)
+        taus = offset_taus(levels, emethod)
+        tables = [index_table(w, taus, qmethod) for w in windows]
+        for (variable, horizon), observations in scorable.items():
+            # Per window: each scored year's WIS, and the hits at each level.
+            wis: list[list[float]] = [[] for _ in windows]
+            hits: list[list[int]] = [[0] * len(levels) for _ in windows]
+            for target, year, point, outcome in observations:
+                try:
+                    errors = history.error_set(
+                        target, horizon, year, horizon.origin_for(year), emethod
+                    ).errors
+                except InsufficientHistoryError:
+                    continue
+                if not all(map(math.isfinite, errors)):
+                    raise InvalidErrorValueError("invalid error value: samples must be finite")
+                xs: list[float] = []
+                for w, table, wis_w, hits_w in zip(windows, tables, wis, hits):
+                    for error in errors[len(xs):w]:
+                        insort(xs, error)
+                    totals = []
+                    for k, (lo, up, tau) in enumerate(zip(*offset_rows(read_sorted(xs, table), emethod), levels)):
+                        if lo > up:
+                            raise ValueError(f"lower offset {lo} exceeds upper {up}")
+                        lower, upper = point + lo, point + up
+                        dispersion, over, under = score_parts(lower, upper, outcome, tau)
+                        totals.append(dispersion + over + under)
+                        hits_w[k] += lower <= outcome <= upper
+                    wis_w.append(wis_of_totals(totals, weights))
+            for w, wis_w, hits_w in zip(windows, wis, hits):
+                n = len(wis_w)
+                # The backtest's formulas: ``mean`` and a hit count over n.
+                rows[(w, emethod, qmethod, variable, horizon)] = TuningRow(
+                    window=w, error_method=emethod.value, quantile_method=qmethod.value,
+                    variable=variable, horizon=horizon.label,
+                    mean_wis=mean(wis_w) if n else None,
+                    coverage={tau: hit / n for tau, hit in zip(levels, hits_w)} if n else {},
+                    n=n, feasible=n > 0,
                 )
-    return report
-
-
-def _tuning_row(
-    window: int,
-    emethod: ErrorMethod,
-    qmethod: QuantileMethod,
-    variable: str,
-    horizon: Horizon,
-    observations: list[tuple[dict[float, PredictionInterval], float]],
-    levels: tuple[float, ...],
-) -> TuningRow:
-    if not observations:
-        return TuningRow(
-            window=window, error_method=emethod.value, quantile_method=qmethod.value,
-            variable=variable, horizon=horizon.label, mean_wis=None, coverage={},
-            n=0, feasible=False,
-        )
-    # The backtest's cell formulas, so tuning and backtest share every statistic.
-    weights = WisWeights(levels)
-    wis_values = [
-        weighted_interval_score(intervals, outcome, weights) for intervals, outcome in observations
-    ]
-    coverage = {
-        tau: coverage_rate([(intervals[tau], outcome) for intervals, outcome in observations])
-        for tau in levels
-    }
-    return TuningRow(
-        window=window, error_method=emethod.value, quantile_method=qmethod.value,
-        variable=variable, horizon=horizon.label, mean_wis=mean(wis_values),
-        coverage=coverage, n=len(observations), feasible=True,
-    )
+    return TuningReport(levels=levels, rows=[
+        rows[(w, emethod, qmethod, variable, horizon)]
+        for w, emethod, qmethod in grid for variable in variables for horizon in HORIZONS
+    ])
 
 
 FORECAST_FILE_HEADER = [

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Sequence
+from functools import lru_cache
+from typing import Optional, Sequence
 
 
 class EmptyErrorSetError(ValueError):
@@ -51,7 +52,7 @@ def empirical_quantile(
     interpolates between the two bracketing order statistics. INVERSE_ECDF
     returns the smallest sample value whose empirical CDF reaches tau.
     """
-    return _read_sorted(_sorted_finite(samples), tau, method)
+    return empirical_quantiles(samples, (tau,), method)[0]
 
 
 def empirical_quantiles(
@@ -61,39 +62,44 @@ def empirical_quantiles(
 ) -> list[float]:
     """``empirical_quantile`` at each level of ``taus``, from one sorted copy
     of ``samples`` checked once."""
-    xs = _sorted_finite(samples)
-    return [_read_sorted(xs, tau, method) for tau in taus]
-
-
-def _sorted_finite(samples: Sequence[float]) -> list[float]:
     if len(samples) == 0:
         raise EmptyErrorSetError("empty error set: no samples to take a quantile of")
     xs = sorted(map(float, samples))
     if not all(map(math.isfinite, xs)):
         raise InvalidErrorValueError("invalid error value: samples must be finite")
-    return xs
+    return read_sorted(xs, index_table(len(xs), tuple(map(float, taus)), method))
 
 
-def _read_sorted(xs: list[float], tau: float, method: QuantileMethod) -> float:
-    """The tau-quantile of the ascending, finite, nonempty ``xs``."""
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"quantile level {tau} outside (0, 1)")
-    n = len(xs)
-    if method is QuantileMethod.LINEAR:
-        rank = 1.0 + (n - 1) * tau
-        j = int(math.floor(rank))
-        g = rank - j
-        if j >= n:
-            return xs[-1]
-        if g == 0.0:
-            return xs[j - 1]
-        return xs[j - 1] + g * (xs[j] - xs[j - 1])
-    # Inverse ECDF: smallest k with k/n >= tau, evaluated with the same
-    # floating-point comparison an ECDF scan would use. k/n rounds
-    # monotonically in k, so stepping from ceil(n*tau) finds it.
-    k = min(max(math.ceil(n * tau), 1), n)
-    while k > 1 and (k - 1) / n >= tau:
-        k -= 1
-    while k < n and k / n < tau:
-        k += 1
-    return xs[k - 1]
+IndexTable = tuple[tuple[int, Optional[float]], ...]
+
+
+@lru_cache(maxsize=1024)
+def index_table(n: int, taus: tuple[float, ...], method: QuantileMethod) -> IndexTable:
+    """Where each tau-quantile of ``n`` ascending samples is read: ``(i, None)``
+    reads ``xs[i]`` and ``(i, g)`` interpolates by ``g`` from ``xs[i]`` toward
+    ``xs[i + 1]``. It depends on n, tau and the method only (Hyndman & Fan 1996)."""
+    table = []
+    for tau in taus:
+        if not (0.0 < tau < 1.0):
+            raise ValueError(f"quantile level {tau} outside (0, 1)")
+        if method is QuantileMethod.LINEAR:
+            rank = 1.0 + (n - 1) * tau
+            j = int(math.floor(rank))
+            g = rank - j
+            table.append((n - 1, None) if j >= n else (j - 1, None if g == 0.0 else g))
+            continue
+        # Inverse ECDF: smallest k with k/n >= tau, evaluated with the same
+        # floating-point comparison an ECDF scan would use. k/n rounds
+        # monotonically in k, so stepping from ceil(n*tau) finds it.
+        k = min(max(math.ceil(n * tau), 1), n)
+        while k > 1 and (k - 1) / n >= tau:
+            k -= 1
+        while k < n and k / n < tau:
+            k += 1
+        table.append((k - 1, None))
+    return tuple(table)
+
+
+def read_sorted(xs: Sequence[float], table: IndexTable) -> list[float]:
+    """The quantiles that ``table`` locates in the ascending, finite ``xs``."""
+    return [xs[i] if g is None else xs[i] + g * (xs[i + 1] - xs[i]) for i, g in table]

@@ -34,9 +34,10 @@ class ScoreDecomposition:
         return self.dispersion + self.overprediction + self.underprediction
 
 
-def interval_score(lower: float, upper: float, outcome: float, tau: float) -> ScoreDecomposition:
-    """Interval score of [lower, upper] against ``outcome`` at level ``tau``."""
-    if not all(math.isfinite(v) for v in (lower, upper, outcome)):
+def score_parts(lower: float, upper: float, outcome: float, tau: float) -> tuple[float, float, float]:
+    """``(dispersion, overprediction, underprediction)`` of [lower, upper]
+    against ``outcome`` at level ``tau``, as plain floats."""
+    if not (math.isfinite(lower) and math.isfinite(upper) and math.isfinite(outcome)):
         raise ValueError("interval score requires finite inputs")
     if lower > upper:
         raise ValueError(f"inverted interval [{lower}, {upper}]")
@@ -45,9 +46,12 @@ def interval_score(lower: float, upper: float, outcome: float, tau: float) -> Sc
     penalty = 2.0 / (1.0 - tau)
     over = penalty * (lower - outcome) if outcome < lower else 0.0
     under = penalty * (outcome - upper) if outcome > upper else 0.0
-    return ScoreDecomposition(
-        dispersion=upper - lower, overprediction=over, underprediction=under
-    )
+    return upper - lower, over, under
+
+
+def interval_score(lower: float, upper: float, outcome: float, tau: float) -> ScoreDecomposition:
+    """Interval score of [lower, upper] against ``outcome`` at level ``tau``."""
+    return ScoreDecomposition(*score_parts(lower, upper, outcome, tau))
 
 
 @dataclass(frozen=True)
@@ -89,9 +93,14 @@ def wis_from_scores(scores: Mapping[float, ScoreDecomposition], weights: WisWeig
     missing = [tau for tau in weights.levels if tau not in scores]
     if missing:
         raise ValueError(f"incomplete level set: missing levels {missing}")
+    return wis_of_totals([scores[tau].total for tau in weights.levels], weights)
+
+
+def wis_of_totals(totals: Sequence[float], weights: WisWeights) -> float:
+    """The weighted interval score of per-level totals in ``weights``' level order."""
     acc = 0.0
-    for tau, w in zip(weights.levels, weights.weights):
-        acc += w * scores[tau].total
+    for total, w in zip(totals, weights.weights):
+        acc += w * total
     return acc / weights.total
 
 

@@ -33,7 +33,13 @@ def bench_round(workload: str, trace: str = "0") -> dict:
 
 @pytest.mark.parametrize("trace", ["0", "1"])
 def test_tune_round_is_correct(trace):
-    bench_round("tune", trace)
+    result = bench_round("tune", trace)
+    if trace == "1":
+        # One build per distinct error set, at the grid's largest window:
+        # tuning reads every shorter window from that set's sorted prefix.
+        metrics = result["metrics"]
+        assert metrics["errorsets.build_calls"]["value"] == 364
+        assert metrics["errorsets.distinct_sets"]["value"] == 364
 
 
 def test_paper_round_is_correct():

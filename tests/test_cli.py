@@ -227,3 +227,30 @@ class TestBadInput:
         code = main(["report", "--audit", str(audit)])
         assert code == 1
         self._assert_one_line_error(capsys, "variable")
+
+    @pytest.mark.parametrize("content, kind", [("[1, 2]", "list"), ('"abc"', "str")])
+    def test_config_that_is_not_an_object_exits_one(self, panel_path, tmp_path, capsys,
+                                                     content, kind):
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        code = main(["backtest", "--config", str(config), "--data", panel_path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        self._assert_one_line_error(capsys, str(config), "JSON object", kind)
+
+    def test_audit_that_is_not_an_array_exits_one(self, tmp_path, capsys):
+        audit = tmp_path / "audit.json"
+        audit.write_text("{}")
+        code = main(["report", "--audit", str(audit)])
+        assert code == 1
+        self._assert_one_line_error(capsys, str(audit), "array of objects")
+
+    @pytest.mark.parametrize("windows, fragment", [
+        ("4,4", "window 4"), ("0,3", "window 0 must be >= 1"), ("4,", "--grid-windows"),
+    ])
+    def test_bad_grid_windows_exit_one(self, panel_path, tmp_path, capsys, windows, fragment):
+        code = main(["tune", "--data", panel_path, "--out", str(tmp_path / "out"),
+                     "--grid-windows", windows])
+        assert code == 1
+        self._assert_one_line_error(capsys, fragment)
+        assert not (tmp_path / "out").exists()

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,8 +37,8 @@ from intervalcast.pipeline import (
     ErrorHistory,
     RunConfig,
     TuningReport,
+    TuningRow,
     _ar_lookup,
-    _tuning_row,
     outstanding_cells,
     produce_forecast,
     run_backtest,
@@ -45,7 +46,13 @@ from intervalcast.pipeline import (
     write_backtest_outputs,
 )
 from intervalcast.quantile import QuantileMethod, empirical_quantile
-from intervalcast.scoring import interval_score
+from intervalcast.scoring import (
+    WisWeights,
+    coverage_rate,
+    interval_score,
+    mean,
+    weighted_interval_score,
+)
 
 from conftest import make_panel, tuning_cell, without
 from test_intervals import rescanning_pool
@@ -142,7 +149,21 @@ def vintage_panel(seed, missing_forecast, missing_fall, revised, first=1988, las
     return ForecastPanel(forecasts, realizations, source="vintages")
 
 
+def prefix(errs: ErrorSet, window: int) -> ErrorSet:
+    """The first ``window`` entries of ``errs``, the set tuning reads at that
+    window from a set built at a longer one."""
+    oldest = errs.source_years[window - 1]
+    return replace(
+        errs,
+        errors=errs.errors[:window],
+        source_years=errs.source_years[:window],
+        skipped_years=tuple(y for y in errs.skipped_years if y > oldest),
+    )
+
+
 def assert_provider_matches_scalar(forecasts, truths, max_window, first, last):
+    """Each provider set is the scalar build at ``max_window``, and its prefixes
+    are the scalar builds at every shorter window."""
     history = ErrorHistory(forecasts, truths, max_window)
     for method in ErrorMethod:
         for horizon, anchor, origin in _cells(first, last):
@@ -155,12 +176,12 @@ def assert_provider_matches_scalar(forecasts, truths, max_window, first, last):
             try:
                 build(max_window)
             except InsufficientHistoryError:
-                for w in range(1, max_window + 1):
-                    with pytest.raises(InsufficientHistoryError):
-                        history.error_set(TARGET, horizon, anchor, origin, method, w)
+                with pytest.raises(InsufficientHistoryError):
+                    history.error_set(TARGET, horizon, anchor, origin, method)
                 continue
+            full = history.error_set(TARGET, horizon, anchor, origin, method)
             for w in range(1, max_window + 1):
-                assert history.error_set(TARGET, horizon, anchor, origin, method, w) == build(w)
+                assert prefix(full, w) == build(w)
 
 
 @settings(max_examples=30, deadline=None)
@@ -272,14 +293,6 @@ def test_quarterly_settled_truth_holds_from_its_release_on(gaps):
             ]
 
 
-def test_provider_rejects_windows_outside_its_range(small_panel):
-    history = ErrorHistory(small_panel.forecast, PanelTruthSelector(small_panel), 11)
-    origin = ReleaseDate(2020, Season.FALL)
-    for w in (0, 12):
-        with pytest.raises(ValueError, match="window"):
-            history.error_set(TARGET, HORIZONS[0], 2020, origin, ErrorMethod.ABSOLUTE, w)
-
-
 def reference_observations(config, panel, grid):
     """Tuning's scored (intervals, outcome) pairs per grid point and
     (variable, horizon) cell, as it ran before the provider: every set
@@ -340,8 +353,41 @@ def reference_observations(config, panel, grid):
                 yield (window, emethod, qmethod, variable, horizon), observations
 
 
+def _tuning_row(
+    window: int,
+    emethod: ErrorMethod,
+    qmethod: QuantileMethod,
+    variable: str,
+    horizon: Horizon,
+    observations: list,
+    levels: tuple[float, ...],
+) -> TuningRow:
+    """One tuning row from interval objects: WIS through
+    ``weighted_interval_score``, coverage through ``coverage_rate``."""
+    if not observations:
+        return TuningRow(
+            window=window, error_method=emethod.value, quantile_method=qmethod.value,
+            variable=variable, horizon=horizon.label, mean_wis=None, coverage={},
+            n=0, feasible=False,
+        )
+    weights = WisWeights(levels)
+    wis_values = [
+        weighted_interval_score(intervals, outcome, weights) for intervals, outcome in observations
+    ]
+    coverage = {
+        tau: coverage_rate([(intervals[tau], outcome) for intervals, outcome in observations])
+        for tau in levels
+    }
+    return TuningRow(
+        window=window, error_method=emethod.value, quantile_method=qmethod.value,
+        variable=variable, horizon=horizon.label, mean_wis=mean(wis_values),
+        coverage=coverage, n=len(observations), feasible=True,
+    )
+
+
 def reference_tuning(config, panel, grid) -> TuningReport:
-    """Tuning's report from the reference observations."""
+    """Tuning's report from the reference observations, scored through the
+    interval and score objects."""
     report = TuningReport(levels=config.levels)
     for (window, emethod, qmethod, variable, horizon), observations in reference_observations(
         config, panel, grid
@@ -350,6 +396,29 @@ def reference_tuning(config, panel, grid) -> TuningReport:
             _tuning_row(window, emethod, qmethod, variable, horizon, observations, config.levels)
         )
     return report
+
+
+def _golden_inputs():
+    vintaged = vintage_panel(11, 0.05, 0.3, True, first=1958, last=2016)
+    forecasts = dict(vintaged.forecasts)
+    # Forecasts equal to their truth give zero errors, ties and zero quantiles
+    # (-0.0 lower offsets under absolute errors) for pooling to handle.
+    for year in range(1962, 1990):
+        truth = vintaged.realizations.get((TARGET, year, ReleaseDate(year + 1, Season.FALL)))
+        for horizon in HORIZONS:
+            key = (TARGET, horizon.origin_for(year), year)
+            if truth is not None and key in forecasts and year % 3:
+                forecasts[key] = truth
+    panel = ForecastPanel(forecasts, vintaged.realizations, source=vintaged.source)
+    rng = np.random.default_rng(5)
+    growth, x = {}, 0.5
+    for year in range(1950, 2018):
+        for quarter in (1, 2, 3, 4):
+            x = 0.3 + 0.5 * x + float(rng.normal(0.0, 0.4))
+            growth[(year, quarter)] = x
+    for gap in ((1985, 2), (1999, 4)):
+        del growth[gap]
+    return panel, {TARGET: QuarterlySeries(target=TARGET, growth=growth)}
 
 
 def _gappy_panel():
@@ -366,6 +435,7 @@ def _gappy_panel():
 DEFAULT_GRID = [
     (w, em, QuantileMethod.LINEAR) for w in range(4, 12) for em in ErrorMethod
 ]
+NINE_LEVELS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
 
 @pytest.mark.parametrize(
@@ -376,8 +446,35 @@ DEFAULT_GRID = [
          [(11, ErrorMethod.DIRECTIONAL, QuantileMethod.INVERSE_ECDF),
           (3, ErrorMethod.ABSOLUTE, QuantileMethod.LINEAR)]),
         (_gappy_panel(), RunConfig(), DEFAULT_GRID),
+        # Windows out of order and differing per method; the largest, 13,
+        # leaves the early years infeasible in every cell.
+        (_gappy_panel(), RunConfig(levels=NINE_LEVELS), [
+            (9, ErrorMethod.DIRECTIONAL, QuantileMethod.INVERSE_ECDF),
+            (2, ErrorMethod.DIRECTIONAL, QuantileMethod.INVERSE_ECDF),
+            (13, ErrorMethod.ABSOLUTE, QuantileMethod.INVERSE_ECDF),
+            (6, ErrorMethod.DIRECTIONAL, QuantileMethod.LINEAR),
+            (1, ErrorMethod.ABSOLUTE, QuantileMethod.INVERSE_ECDF),
+            (5, ErrorMethod.DIRECTIONAL, QuantileMethod.INVERSE_ECDF),
+            (10, ErrorMethod.DIRECTIONAL, QuantileMethod.LINEAR),
+        ]),
+        # No year of the training span has 40 eligible years before it.
+        (_gappy_panel(), RunConfig(levels=NINE_LEVELS), [
+            (40, ErrorMethod.DIRECTIONAL, QuantileMethod.INVERSE_ECDF),
+            (4, ErrorMethod.ABSOLUTE, QuantileMethod.LINEAR),
+        ]),
+        # Zero errors and ties put outcomes on interval ends; revised
+        # vintages and missing fall releases move the truths.
+        (_golden_inputs()[0], RunConfig(levels=NINE_LEVELS, train_span=(1966, 1995),
+                                        holdout_span=(1996, 2016)), [
+            (7, ErrorMethod.ABSOLUTE, QuantileMethod.LINEAR),
+            (3, ErrorMethod.ABSOLUTE, QuantileMethod.INVERSE_ECDF),
+            (4, ErrorMethod.DIRECTIONAL, QuantileMethod.INVERSE_ECDF),
+            (3, ErrorMethod.ABSOLUTE, QuantileMethod.LINEAR),
+            (8, ErrorMethod.DIRECTIONAL, QuantileMethod.INVERSE_ECDF),
+        ]),
     ],
-    ids=["default-grid", "short-grid", "deleted-forecast"],
+    ids=["default-grid", "short-grid", "deleted-forecast", "nine-levels-mixed-grid",
+         "all-infeasible", "zero-errors-and-revisions"],
 )
 def test_tuning_output_is_byte_identical_to_rebuilding_loop(panel, config, grid):
     expected = reference_tuning(config, panel, grid)
@@ -388,29 +485,32 @@ def test_tuning_output_is_byte_identical_to_rebuilding_loop(panel, config, grid)
 
 def test_tuning_statistics_match_a_hand_computation():
     """One feasible cell's mean WIS and coverage, recomputed from
-    ``interval_score`` in the backtest's summation order, exact by ``repr``."""
-    panel, config = make_panel(countries=("AAA",)), RunConfig()
+    ``interval_score`` in the backtest's summation order, exact by ``repr``.
+    Nine levels make that order matter."""
+    panel = make_panel(countries=("AAA",))
     grid = [(11, ErrorMethod.DIRECTIONAL, QuantileMethod.LINEAR)]
-    observations = dict(reference_observations(config, panel, grid))[
-        (*grid[0], "gdp", Horizon.SPRING_NEXT)
-    ]
-    weights = [(1.0 - tau) / 2.0 for tau in config.levels]
-    wis = []
-    for intervals, outcome in observations:
-        acc = 0.0
-        for tau, w in zip(config.levels, weights):
-            pi = intervals[tau]
-            acc += w * interval_score(pi.lower, pi.upper, outcome, tau).total
-        wis.append(acc / sum(weights))
-    row = tuning_cell(run_tuning(config, panel, grid), 11, "directional", "type7", "gdp",
-                      "spring-next")
-    assert row.feasible and row.n == len(observations) > 0
-    assert repr(row.mean_wis) == repr(sum(wis) / len(wis))
-    for tau in config.levels:
-        inside = sum(
-            1 for intervals, y in observations if intervals[tau].lower <= y <= intervals[tau].upper
-        )
-        assert repr(row.coverage[tau]) == repr(inside / len(observations))
+    for config in (RunConfig(), RunConfig(levels=NINE_LEVELS)):
+        observations = dict(reference_observations(config, panel, grid))[
+            (*grid[0], "gdp", Horizon.SPRING_NEXT)
+        ]
+        weights = [(1.0 - tau) / 2.0 for tau in config.levels]
+        wis = []
+        for intervals, outcome in observations:
+            acc = 0.0
+            for tau, w in zip(config.levels, weights):
+                pi = intervals[tau]
+                acc += w * interval_score(pi.lower, pi.upper, outcome, tau).total
+            wis.append(acc / sum(weights))
+        row = tuning_cell(run_tuning(config, panel, grid), 11, "directional", "type7", "gdp",
+                          "spring-next")
+        assert row.feasible and row.n == len(observations) > 0
+        assert repr(row.mean_wis) == repr(sum(wis) / len(wis))
+        for tau in config.levels:
+            inside = sum(
+                1 for intervals, y in observations
+                if intervals[tau].lower <= y <= intervals[tau].upper
+            )
+            assert repr(row.coverage[tau]) == repr(inside / len(observations))
 
 
 def test_reimport_leaves_one_target_class_alive():
@@ -498,29 +598,6 @@ def parent_build_grid(history, target, origin, config):
         for i, h in enumerate(horizons)
     }
     return IntervalGrid(target=target, origin=origin, cells=pooled, blocks=blocks), gaps
-
-
-def _golden_inputs():
-    vintaged = vintage_panel(11, 0.05, 0.3, True, first=1958, last=2016)
-    forecasts = dict(vintaged.forecasts)
-    # Forecasts equal to their truth give zero errors, ties and zero quantiles
-    # (-0.0 lower offsets under absolute errors) for pooling to handle.
-    for year in range(1962, 1990):
-        truth = vintaged.realizations.get((TARGET, year, ReleaseDate(year + 1, Season.FALL)))
-        for horizon in HORIZONS:
-            key = (TARGET, horizon.origin_for(year), year)
-            if truth is not None and key in forecasts and year % 3:
-                forecasts[key] = truth
-    panel = ForecastPanel(forecasts, vintaged.realizations, source=vintaged.source)
-    rng = np.random.default_rng(5)
-    growth, x = {}, 0.5
-    for year in range(1950, 2018):
-        for quarter in (1, 2, 3, 4):
-            x = 0.3 + 0.5 * x + float(rng.normal(0.0, 0.4))
-            growth[(year, quarter)] = x
-    for gap in ((1985, 2), (1999, 4)):
-        del growth[gap]
-    return panel, {TARGET: QuarterlySeries(target=TARGET, growth=growth)}
 
 
 def _backtest_files(config, panel, quarterly, out_dir):

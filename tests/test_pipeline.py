@@ -430,6 +430,19 @@ class TestRunTuning:
         with pytest.raises(ValueError, match="nonempty"):
             run_tuning(RunConfig(), backtest_panel(2), [])
 
+    @pytest.mark.parametrize("grid, match", [
+        ([(4, ErrorMethod.ABSOLUTE, QuantileMethod.LINEAR)] * 2, "window 4 listed twice with absolute, type7"),
+        ([(8, ErrorMethod.DIRECTIONAL, QuantileMethod.INVERSE_ECDF), (3, ErrorMethod.ABSOLUTE,
+          QuantileMethod.LINEAR), (8, ErrorMethod.DIRECTIONAL, QuantileMethod.INVERSE_ECDF)],
+         "window 8 listed twice with directional, type1"),
+        ([(0, ErrorMethod.ABSOLUTE, QuantileMethod.LINEAR)], "window 0 must be >= 1"),
+        ([(4, ErrorMethod.ABSOLUTE, QuantileMethod.LINEAR), (-2, ErrorMethod.ABSOLUTE,
+          QuantileMethod.LINEAR)], "window -2 must be >= 1"),
+    ])
+    def test_bad_grid_point_rejected_by_window(self, grid, match):
+        with pytest.raises(ValueError, match=match):
+            run_tuning(RunConfig(), backtest_panel(2), grid)
+
 
 class TestProduceForecast:
     def seven_country_panel(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from intervalcast.quantile import (
     QuantileMethod,
     empirical_quantile,
     empirical_quantiles,
+    index_table,
+    read_sorted,
 )
 
 
@@ -138,3 +142,69 @@ def test_multi_level_reader_checks_the_window():
         empirical_quantiles([1.0, float("inf")], [0.5])
     with pytest.raises(ValueError):
         empirical_quantiles([1.0], [0.5, 1.0])
+
+
+def scan_read(xs, tau, method):
+    """The tau-quantile of the ascending ``xs`` computed afresh at each call:
+    the per-call reader that ``index_table`` replaced, kept as its oracle."""
+    if not (0.0 < tau < 1.0):
+        raise ValueError(f"quantile level {tau} outside (0, 1)")
+    n = len(xs)
+    if method is QuantileMethod.LINEAR:
+        rank = 1.0 + (n - 1) * tau
+        j = int(math.floor(rank))
+        g = rank - j
+        if j >= n:
+            return xs[-1]
+        if g == 0.0:
+            return xs[j - 1]
+        return xs[j - 1] + g * (xs[j] - xs[j - 1])
+    k = min(max(math.ceil(n * tau), 1), n)
+    while k > 1 and (k - 1) / n >= tau:
+        k -= 1
+    while k < n and k / n < tau:
+        k += 1
+    return xs[k - 1]
+
+
+def step_levels(n):
+    """Levels at and next to every step k/n of the ECDF and k/(n-1) of the
+    type-7 rank, inside (0, 1)."""
+    steps = {k / n for k in range(n + 1)} | {k / (n - 1) for k in range(n) if n > 1}
+    near = {t for s in steps for t in (s, math.nextafter(s, 0.0), math.nextafter(s, 1.0))}
+    return sorted(t for t in near if 0.0 < t < 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    data=st.data(),
+    method=st.sampled_from(list(QuantileMethod)),
+)
+def test_index_table_reads_equal_the_per_call_scan(n, data, method):
+    # Ties, signed zeros and wide magnitudes, where a read of the wrong
+    # order statistic or an interpolation with g == 0 would show.
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    )
+    xs = sorted(data.draw(st.lists(values, min_size=n, max_size=n)))
+    taus = step_levels(n) + data.draw(st.lists(st.floats(1e-9, 1 - 1e-9), max_size=5))
+    got = read_sorted(xs, index_table(n, tuple(taus), method))
+    assert list(map(repr, got)) == [repr(scan_read(xs, tau, method)) for tau in taus]
+
+
+def test_index_table_covers_every_step_up_to_eighty():
+    rng = np.random.default_rng(7)
+    for n in range(1, 81):
+        xs = sorted(float(x) for x in np.round(rng.normal(size=n), 1))
+        taus = tuple(step_levels(n) + PIPELINE_TAUS)
+        for method in QuantileMethod:
+            got = read_sorted(xs, index_table(n, taus, method))
+            assert list(map(repr, got)) == [repr(scan_read(xs, tau, method)) for tau in taus]
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, -0.5, float("nan")])
+def test_index_table_rejects_levels_outside_the_unit_interval(tau):
+    with pytest.raises(ValueError, match="outside"):
+        index_table(5, (0.5, tau), QuantileMethod.LINEAR)
