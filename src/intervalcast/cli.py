@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from dataclasses import fields
-from typing import Optional
+from typing import NoReturn, Optional
 
 from intervalcast.domain import ReleaseDate, Season
 from intervalcast.errorsets import ErrorMethod
@@ -26,10 +26,16 @@ from intervalcast.pipeline import (
     produce_forecast,
     run_backtest,
     run_tuning,
-    scored_from_audit,
     write_backtest_outputs,
 )
-from intervalcast.scoring import POOLED
+from intervalcast.scoring import POOLED, check_rows
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one ``error:`` line, as other bad input does."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(1, f"error: {message}\n")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -120,7 +126,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     external = _load_external(config.external_forecasts)
     result = run_backtest(config, panel, quarterly=quarterly, external=external)
     paths = write_backtest_outputs(result, config.out)
-    print(f"backtest: {len(result.scored)} scored forecasts, outputs: {', '.join(paths)}")
+    print(f"backtest: {len(result.audit)} scored forecasts, outputs: {', '.join(paths)}")
     return 2 if result.gaps else 0
 
 
@@ -155,13 +161,14 @@ def cmd_report(args: argparse.Namespace) -> int:
         rows = json.load(fh)
     if not isinstance(rows, list):
         raise ValueError(f"{audit_path}: an audit must be an array of objects, not {type(rows).__name__}")
-    scored = scored_from_audit(rows)
     run_json = os.path.join(os.path.dirname(audit_path), "run.json")
     known = bool(args.config) or os.path.exists(run_json)
+    config = _config_from_args(args, run_json if known else None)
+    check_rows(rows, config.levels)
     if not known:
         print(f"warning: no {run_json}; printing per-target cells of every audit row, "
               "without the run's exclusions or pooled cells", file=sys.stderr)
-    report = evaluation_report(scored, _config_from_args(args, run_json if known else None))
+    report = evaluation_report(rows, config)
     lines = ["country,variable,horizon,method,mean_wis,n"]
     for key, stats in sorted(report.cells.items()):
         if known or key[0] != POOLED:
@@ -171,7 +178,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="intervalcast",
         description="Calibrated prediction intervals from past forecast errors",
     )

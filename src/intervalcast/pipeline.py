@@ -19,8 +19,6 @@ import sys
 from bisect import insort
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from intervalcast import benchmark
@@ -62,7 +60,6 @@ from intervalcast.intervals import (
     GridCell,
     IntervalGrid,
     IntervalOffsets,
-    PredictionInterval,
     enforce_horizon_monotonicity,  # noqa: F401  (looked up here by the benchmark's tracer)
     level_rows,
     offset_rows,
@@ -73,16 +70,14 @@ from intervalcast.intervals import (
 from intervalcast.quantile import InvalidErrorValueError, QuantileMethod, index_table, read_sorted
 from intervalcast.scoring import (
     EvaluationReport,
-    ScoreDecomposition,
-    ScoredForecast,
     WisWeights,
     aggregate_report,
-    interval_score,
+    audit_row,
     mean,
     score_parts,
     weighted_interval_score,  # noqa: F401  (likewise)
-    wis_from_scores,
     wis_of_totals,
+    write_audit,
 )
 
 
@@ -431,7 +426,6 @@ def _eval_as_of(config: RunConfig, panel: ForecastPanel) -> ReleaseDate:
 class BacktestResult:
     config: RunConfig
     report: EvaluationReport
-    scored: list[ScoredForecast]
     grids: list[IntervalGrid]
     audit: list[dict[str, object]]
     gaps: list[str]
@@ -452,7 +446,6 @@ def run_backtest(
     h0, h1 = config.holdout_span
     as_of = _eval_as_of(config, panel)
     weights = WisWeights(config.levels)
-    scored: list[ScoredForecast] = []
     grids: list[IntervalGrid] = []
     audit: list[dict[str, object]] = []
     gaps: list[str] = []
@@ -484,162 +477,14 @@ def run_backtest(
                     except TruthUnavailableError as exc:
                         gaps.append(str(exc))
                         continue
-                    intervals = {tau: cell.interval(tau) for tau in config.levels}
-                    scores = {
-                        tau: interval_score(pi.lower, pi.upper, outcome, tau)
-                        for tau, pi in intervals.items()
-                    }
-                    wis = wis_from_scores(scores, weights)
-                    sf = ScoredForecast(
-                        target=target,
-                        horizon=horizon,
-                        origin=cell.forecast_origin,
-                        target_year=cell.target_year,
-                        method=method.label,
-                        outcome=outcome,
-                        intervals=intervals,
-                        scores=scores,
-                        wis=wis,
-                    )
-                    scored.append(sf)
-                    audit.append(_audit_row(sf, grid, cell))
-    report = evaluation_report(scored, config)
-    return BacktestResult(config=config, report=report, scored=scored, grids=grids, audit=audit, gaps=gaps)
+                    audit.append(audit_row(grid, horizon, method.label, outcome, weights))
+    report = evaluation_report(audit, config)
+    return BacktestResult(config=config, report=report, grids=grids, audit=audit, gaps=gaps)
 
 
-def evaluation_report(scored: Iterable[ScoredForecast], config: RunConfig) -> EvaluationReport:
-    """The backtest report of ``scored``, with the run's levels and exclusions."""
-    return aggregate_report(scored, config.levels, exclusions=config.exclude)
-
-
-def _audit_row(
-    sf: ScoredForecast, grid: IntervalGrid, cell: GridCell
-) -> dict[str, object]:
-    return {
-        "country": sf.target.country,
-        "variable": sf.target.variable,
-        "method": sf.method,
-        "horizon": sf.horizon.label,
-        "grid_origin": str(grid.origin),
-        "forecast_origin": str(cell.forecast_origin),
-        "target_year": sf.target_year,
-        "point": cell.point,
-        "outcome": sf.outcome,
-        "source_years": list(cell.source_years),
-        "skipped_years": list(cell.skipped_years),
-        "pava_blocks": list(grid.blocks or ()),
-        "intervals": {
-            str(tau): {
-                "lower": pi.lower,
-                "upper": pi.upper,
-                "degenerate": pi.degenerate,
-                "excludes_center": pi.excludes_center,
-            }
-            for tau, pi in sorted(sf.intervals.items())
-        },
-        "scores": {
-            str(tau): {
-                "total": sc.total,
-                "dispersion": sc.dispersion,
-                "overprediction": sc.overprediction,
-                "underprediction": sc.underprediction,
-            }
-            for tau, sc in sorted(sf.scores.items())
-        },
-        "wis": sf.wis,
-    }
-
-
-_HORIZONS_BY_LABEL = {h.label: h for h in HORIZONS}
-
-
-def scored_from_audit(rows: Iterable[dict]) -> list[ScoredForecast]:
-    """The scored forecasts that ``_audit_row`` wrote as ``rows``: each
-    interval is centered on the row's point, and each score's total is
-    summed from its parts as when it was scored."""
-    scored = []
-    for i, row in enumerate(rows):
-        try:
-            scored.append(ScoredForecast(
-                target=TargetId(row["country"], row["variable"]),
-                horizon=_HORIZONS_BY_LABEL[row["horizon"]],
-                origin=ReleaseDate.parse(row["forecast_origin"]),
-                target_year=row["target_year"],
-                method=row["method"],
-                outcome=row["outcome"],
-                intervals={
-                    float(key): PredictionInterval(float(key), p["lower"], p["upper"], row["point"],
-                                                   p["degenerate"], p["excludes_center"])
-                    for key, p in row["intervals"].items()
-                },
-                scores={
-                    float(key): ScoreDecomposition(p["dispersion"], p["overprediction"], p["underprediction"])
-                    for key, p in row["scores"].items()
-                },
-                wis=row["wis"],
-            ))
-        except (LookupError, TypeError, AttributeError, ValueError) as exc:
-            raise ValueError(f"malformed audit row {i}: {exc!r}") from None
-    return scored
-
-
-def _layout(keys: Sequence[str], indent: str) -> str:
-    """``json.dumps(indent=2)``'s layout of an object with ``keys`` at ``indent``."""
-    return "{" + ",".join(f'\n{indent}  "{key}": %s' for key in keys) + f"\n{indent}}}"
-
-
-# ``_audit_row``'s shape, keys sorted as ``sort_keys=True`` sorts them.
-_AUDIT_ROW = "  " + _layout((
-    "country", "forecast_origin", "grid_origin", "horizon", "intervals", "method", "outcome",
-    "pava_blocks", "point", "scores", "skipped_years", "source_years", "target_year",
-    "variable", "wis",
-), "  ")
-_SCORE_PARTS = ("dispersion", "overprediction", "total", "underprediction")
-_AUDIT_INTERVAL = "      %s: " + _layout(("degenerate", "excludes_center", "lower", "upper"), "      ")
-_AUDIT_SCORE = "      %s: " + _layout(_SCORE_PARTS, "      ")
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def write_audit(rows: Iterable[dict[str, object]], fh) -> None:
-    """Write ``_audit_row`` rows to ``fh`` one at a time, as exactly the text
-    of ``json.dumps(rows, indent=2, sort_keys=True) + "\\n"``."""
-    text, nonfinite, scores = encode_basestring_ascii, _NONFINITE.get, itemgetter(*_SCORE_PARTS)
-    level_order: dict[tuple, list[tuple[str, str]]] = {}
-
-    def num(x: float) -> str:
-        r = float.__repr__(x)
-        return nonfinite(r, r)
-
-    def ints(values: list[int]) -> str:
-        return "[\n      " + ",\n      ".join(map(int.__repr__, values)) + "\n    ]" if values else "[]"
-
-    def interval(head: str, p: dict) -> str:
-        flags = ("true" if p["degenerate"] else "false", "true" if p["excludes_center"] else "false")
-        return _AUDIT_INTERVAL % (head, *flags, num(p["lower"]), num(p["upper"]))
-
-    def score(head: str, p: dict) -> str:
-        return _AUDIT_SCORE % (head, *map(num, scores(p)))
-
-    def by_level(parts: dict, render) -> str:
-        if not parts:
-            return "{}"
-        order = level_order.get(keys := tuple(parts))
-        if order is None:  # level keys sort as strings, as json sorts them
-            order = level_order[keys] = [(key, text(key)) for key in sorted(keys)]
-        return "{\n" + ",\n".join([render(head, parts[key]) for key, head in order]) + "\n    }"
-
-    sep = "[\n"
-    for row in rows:
-        fh.write(sep + _AUDIT_ROW % (
-            text(row["country"]), text(row["forecast_origin"]), text(row["grid_origin"]),
-            text(row["horizon"]), by_level(row["intervals"], interval), text(row["method"]),
-            num(row["outcome"]), ints(row["pava_blocks"]), num(row["point"]),
-            by_level(row["scores"], score), ints(row["skipped_years"]),
-            ints(row["source_years"]), int.__repr__(row["target_year"]),
-            text(row["variable"]), num(row["wis"]),
-        ))
-        sep = ",\n"
-    fh.write("[]\n" if sep == "[\n" else "\n]\n")
+def evaluation_report(rows: Iterable[dict], config: RunConfig) -> EvaluationReport:
+    """The backtest report of audit ``rows``, with the run's levels and exclusions."""
+    return aggregate_report(rows, config.levels, exclusions=config.exclude)
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Interval score with decomposition, weighted interval score, coverage, and
-report aggregation.
+"""Interval score with decomposition, weighted interval score, coverage, the
+audit row (the backtest's one scored record), and report aggregation.
 
 Scores are negatively oriented: smaller is better. The interval score is the
 interval width plus penalties of 2/(1-tau) times the distance by which the
@@ -13,12 +13,15 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from intervalcast.domain import Horizon, ReleaseDate, TargetId
-from intervalcast.intervals import PredictionInterval
+from intervalcast.domain import HORIZONS, Horizon, ReleaseDate
+from intervalcast.intervals import IntervalGrid, PredictionInterval
 
 POOLED = "pooled"
 
@@ -80,20 +83,13 @@ def weighted_interval_score(
     scale; with a single level it reduces to the plain interval score. No
     point-forecast term is included.
     """
-    scores = {
-        tau: interval_score(intervals[tau].lower, intervals[tau].upper, outcome, tau)
-        for tau in weights.levels
-        if tau in intervals
-    }
-    return wis_from_scores(scores, weights)
-
-
-def wis_from_scores(scores: Mapping[float, ScoreDecomposition], weights: WisWeights) -> float:
-    """The weighted interval score from per-level interval scores in hand."""
-    missing = [tau for tau in weights.levels if tau not in scores]
+    missing = [tau for tau in weights.levels if tau not in intervals]
     if missing:
         raise ValueError(f"incomplete level set: missing levels {missing}")
-    return wis_of_totals([scores[tau].total for tau in weights.levels], weights)
+    return wis_of_totals([
+        interval_score(intervals[tau].lower, intervals[tau].upper, outcome, tau).total
+        for tau in weights.levels
+    ], weights)
 
 
 def wis_of_totals(totals: Sequence[float], weights: WisWeights) -> float:
@@ -109,21 +105,6 @@ def coverage_rate(pairs: Sequence[tuple[PredictionInterval, float]]) -> float:
     if not pairs:
         raise ValueError("no observations: coverage requires at least one pair")
     return sum(1 for pi, y in pairs if pi.contains(y)) / len(pairs)
-
-
-@dataclass(frozen=True)
-class ScoredForecast:
-    """One interval forecast scored against its outcome, at all levels."""
-
-    target: TargetId
-    horizon: Horizon
-    origin: ReleaseDate
-    target_year: int
-    method: str
-    outcome: float
-    intervals: Mapping[float, PredictionInterval]
-    scores: Mapping[float, ScoreDecomposition]
-    wis: float
 
 
 @dataclass
@@ -203,31 +184,36 @@ def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def _cell_stats(group: Sequence[ScoredForecast], levels: tuple[float, ...]) -> CellStats:
+def _cell_stats(group: Sequence[dict], levels: tuple[float, ...]) -> CellStats:
+    keys = [str(tau) for tau in levels]
     coverage: dict[float, float] = {}
     mean_length: dict[float, float] = {}
     mean_is: dict[float, float] = {}
-    for tau in levels:
-        pairs = [(sf.intervals[tau], sf.outcome) for sf in group]
-        coverage[tau] = coverage_rate(pairs)
-        mean_length[tau] = mean([sf.intervals[tau].length for sf in group])
-        mean_is[tau] = mean([sf.scores[tau].total for sf in group])
+    for tau, key in zip(levels, keys):
+        hits, lengths, totals = 0, [], []
+        for row in group:
+            interval, parts = row["intervals"][key], row["scores"][key]
+            lower, upper = interval["lower"], interval["upper"]
+            hits += lower <= row["outcome"] <= upper  # closed, as ``coverage_rate``
+            lengths.append(upper - lower)
+            totals.append(parts["dispersion"] + parts["overprediction"] + parts["underprediction"])
+        coverage[tau] = hits / len(group)
+        mean_length[tau] = mean(lengths)
+        mean_is[tau] = mean(totals)
     # Component means are taken on the same weighted-average scale as the WIS
     # so that dispersion + over + under sums to the mean WIS per cell.
     wts = WisWeights(levels)
 
-    def wis_component(sf: ScoredForecast, attr: str) -> float:
-        return (
-            sum(w * getattr(sf.scores[tau], attr) for tau, w in zip(levels, wts.weights))
-            / wts.total
-        )
+    def wis_component(row: dict, part: str) -> float:
+        scores = row["scores"]
+        return sum([w * scores[key][part] for key, w in zip(keys, wts.weights)]) / wts.total
 
     return CellStats(
         n=len(group),
-        mean_wis=mean([sf.wis for sf in group]),
-        mean_dispersion=mean([wis_component(sf, "dispersion") for sf in group]),
-        mean_overprediction=mean([wis_component(sf, "overprediction") for sf in group]),
-        mean_underprediction=mean([wis_component(sf, "underprediction") for sf in group]),
+        mean_wis=mean([row["wis"] for row in group]),
+        mean_dispersion=mean([wis_component(row, "dispersion") for row in group]),
+        mean_overprediction=mean([wis_component(row, "overprediction") for row in group]),
+        mean_underprediction=mean([wis_component(row, "underprediction") for row in group]),
         coverage=coverage,
         mean_length=mean_length,
         mean_is=mean_is,
@@ -235,34 +221,194 @@ def _cell_stats(group: Sequence[ScoredForecast], levels: tuple[float, ...]) -> C
 
 
 def aggregate_report(
-    scored: Iterable[ScoredForecast],
+    rows: Iterable[dict],
     levels: tuple[float, ...],
     exclusions: Sequence[tuple[str, int, int]] = (),
 ) -> EvaluationReport:
-    """Aggregate scored forecasts into per-cell and country-pooled statistics.
+    """Aggregate audit rows into per-cell and country-pooled statistics.
 
-    ``exclusions`` are (country, first-year, last-year) spans dropped before
-    aggregation. Empty cells are omitted with a warning rather than failing.
+    ``rows`` are ``audit_row``'s, or rows read back that ``check_rows``
+    passed at ``levels``. ``exclusions`` are (country, first-year, last-year)
+    spans dropped before aggregation. Empty cells are omitted with a warning
+    rather than failing.
     """
-    kept: list[ScoredForecast] = []
     report = EvaluationReport(levels=levels)
-    for sf in scored:
-        excluded = any(
-            sf.target.country == c and lo <= sf.target_year <= hi
-            for c, lo, hi in exclusions
-        )
-        if excluded:
+    groups: dict[tuple[str, str, str, str], list[dict]] = {}
+    for row in rows:
+        country, year = row["country"], row["target_year"]
+        if any(country == c and lo <= year <= hi for c, lo, hi in exclusions):
             continue
-        kept.append(sf)
-    if not kept:
+        cell = (row["variable"], row["horizon"], row["method"])
+        groups.setdefault((country, *cell), []).append(row)
+        groups.setdefault((POOLED, *cell), []).append(row)
+    if not groups:
         report.warnings.append("no scored forecasts after exclusions")
         return report
-    groups: dict[tuple[str, str, str, str], list[ScoredForecast]] = {}
-    for sf in kept:
-        key = (sf.target.country, sf.target.variable, sf.horizon.label, sf.method)
-        groups.setdefault(key, []).append(sf)
-        pooled = (POOLED, sf.target.variable, sf.horizon.label, sf.method)
-        groups.setdefault(pooled, []).append(sf)
     for key, group in groups.items():
         report.cells[key] = _cell_stats(group, levels)
     return report
+
+
+def audit_row(
+    grid: IntervalGrid, horizon: Horizon, method: str, outcome: float, weights: WisWeights
+) -> dict[str, object]:
+    """The audit row of ``grid``'s ``horizon`` forecast, scored against
+    ``outcome`` at each of ``weights``' levels: the backtest's one scored
+    record. Each interval is the point plus its offsets, flagged as
+    ``interval_from_offsets`` flags it, and each score's total is the sum of
+    its parts."""
+    cell = grid.cells[horizon]
+    point = cell.point
+    intervals: dict[str, dict[str, object]] = {}
+    scores: dict[str, dict[str, float]] = {}
+    totals: list[float] = []
+    for tau in weights.levels:
+        offsets = cell.offsets[tau]
+        lower, upper = point + offsets.lower, point + offsets.upper
+        dispersion, over, under = score_parts(lower, upper, outcome, tau)
+        totals.append(total := dispersion + over + under)
+        intervals[str(tau)] = {
+            "lower": lower, "upper": upper,
+            "degenerate": lower == upper, "excludes_center": not (lower <= point <= upper),
+        }
+        scores[str(tau)] = {
+            "total": total, "dispersion": dispersion, "overprediction": over, "underprediction": under,
+        }
+    return {
+        "country": grid.target.country,
+        "variable": grid.target.variable,
+        "method": method,
+        "horizon": horizon.label,
+        "grid_origin": str(grid.origin),
+        "forecast_origin": str(cell.forecast_origin),
+        "target_year": cell.target_year,
+        "point": point,
+        "outcome": outcome,
+        "source_years": list(cell.source_years),
+        "skipped_years": list(cell.skipped_years),
+        "pava_blocks": list(grid.blocks or ()),
+        "intervals": intervals,
+        "scores": scores,
+        "wis": wis_of_totals(totals, weights),
+    }
+
+
+_LABELS = frozenset(h.label for h in HORIZONS)
+_SCORE_PARTS = ("dispersion", "overprediction", "underprediction")
+
+
+def _number(value: object) -> bool:
+    """A float, or an int (not a bool) that converts to one."""
+    return isinstance(value, float) or type(value) is int and abs(value) <= sys.float_info.max
+
+
+def _parses(parse: Callable[[str], object], value: object) -> bool:
+    try:
+        parse(value)  # type: ignore[arg-type]
+    except ValueError:
+        return False
+    return True
+
+
+# The fields a rebuilt report reads or names, each with its test.
+_ROW_FIELDS: tuple[tuple[str, Callable[[object], bool], str], ...] = (
+    ("country", lambda v: isinstance(v, str) and v != "", "a nonempty string"),
+    ("variable", lambda v: isinstance(v, str) and v != "", "a nonempty string"),
+    ("method", lambda v: isinstance(v, str), "a string"),
+    ("horizon", lambda v: isinstance(v, str) and v in _LABELS, "a horizon label"),
+    ("forecast_origin", lambda v: _parses(ReleaseDate.parse, v), "a release date like 2012S"),
+    ("target_year", lambda v: type(v) is int, "an integer"),
+    ("point", _number, "a number"),
+    ("outcome", _number, "a number"),
+    ("wis", _number, "a number"),
+    ("intervals", lambda v: isinstance(v, dict), "an object"),
+    ("scores", lambda v: isinstance(v, dict), "an object"),
+)
+
+
+def _row_problem(row: object, levels: Sequence[float]) -> Optional[str]:
+    if not isinstance(row, dict):
+        return f"a row must be an object, not {type(row).__name__}"
+    for key, ok, kind in _ROW_FIELDS:
+        if not ok(row.get(key)):
+            return f"{key!r} must be {kind}, got {row[key]!r}" if key in row else f"no {key!r}"
+    for key, p in row["intervals"].items():
+        if not (_parses(float, key) and isinstance(p, dict) and "degenerate" in p and "excludes_center" in p
+                and _number(p.get("lower")) and _number(p.get("upper")) and p["lower"] <= p["upper"]):
+            return f"interval {key!r} must hold numbers lower <= upper and both flags, got {p!r}"
+    for key, p in row["scores"].items():
+        if not (_parses(float, key) and isinstance(p, dict) and all(_number(p.get(k)) for k in _SCORE_PARTS)):
+            return f"score {key!r} must hold numeric {', '.join(_SCORE_PARTS)}, got {p!r}"
+    for tau in levels:
+        for part in ("intervals", "scores"):
+            if str(tau) not in row[part]:
+                return f"no {part[:-1]} at level {tau}"
+    return None
+
+
+def check_rows(rows: Sequence[object], levels: Sequence[float]) -> None:
+    """Raise ``ValueError`` naming the first of ``rows``, read back from an
+    ``audit.json``, that ``aggregate_report`` cannot read at ``levels``."""
+    for i, row in enumerate(rows):
+        problem = _row_problem(row, levels)
+        if problem is not None:
+            raise ValueError(f"malformed audit row {i}: {problem}")
+
+
+def _layout(keys: Sequence[str], indent: str) -> str:
+    """``json.dumps(indent=2)``'s layout of an object with ``keys`` at ``indent``."""
+    return "{" + ",".join(f'\n{indent}  "{key}": %s' for key in keys) + f"\n{indent}}}"
+
+
+# ``audit_row``'s shape, keys sorted as ``sort_keys=True`` sorts them.
+_AUDIT_ROW = "  " + _layout((
+    "country", "forecast_origin", "grid_origin", "horizon", "intervals", "method", "outcome",
+    "pava_blocks", "point", "scores", "skipped_years", "source_years", "target_year",
+    "variable", "wis",
+), "  ")
+_SCORE_KEYS = ("dispersion", "overprediction", "total", "underprediction")
+_AUDIT_INTERVAL = "      %s: " + _layout(("degenerate", "excludes_center", "lower", "upper"), "      ")
+_AUDIT_SCORE = "      %s: " + _layout(_SCORE_KEYS, "      ")
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def write_audit(rows: Iterable[dict[str, object]], fh) -> None:
+    """Write ``audit_row`` rows to ``fh`` one at a time, as exactly the text
+    of ``json.dumps(rows, indent=2, sort_keys=True) + "\\n"``."""
+    text, nonfinite, scores = encode_basestring_ascii, _NONFINITE.get, itemgetter(*_SCORE_KEYS)
+    level_order: dict[tuple, list[tuple[str, str]]] = {}
+
+    def num(x: float) -> str:
+        r = float.__repr__(x)
+        return nonfinite(r, r)
+
+    def ints(values: list[int]) -> str:
+        return "[\n      " + ",\n      ".join(map(int.__repr__, values)) + "\n    ]" if values else "[]"
+
+    def interval(head: str, p: dict) -> str:
+        flags = ("true" if p["degenerate"] else "false", "true" if p["excludes_center"] else "false")
+        return _AUDIT_INTERVAL % (head, *flags, num(p["lower"]), num(p["upper"]))
+
+    def score(head: str, p: dict) -> str:
+        return _AUDIT_SCORE % (head, *map(num, scores(p)))
+
+    def by_level(parts: dict, render) -> str:
+        if not parts:
+            return "{}"
+        order = level_order.get(keys := tuple(parts))
+        if order is None:  # level keys sort as strings, as json sorts them
+            order = level_order[keys] = [(key, text(key)) for key in sorted(keys)]
+        return "{\n" + ",\n".join([render(head, parts[key]) for key, head in order]) + "\n    }"
+
+    sep = "[\n"
+    for row in rows:
+        fh.write(sep + _AUDIT_ROW % (
+            text(row["country"]), text(row["forecast_origin"]), text(row["grid_origin"]),
+            text(row["horizon"]), by_level(row["intervals"], interval), text(row["method"]),
+            num(row["outcome"]), ints(row["pava_blocks"]), num(row["point"]),
+            by_level(row["scores"], score), ints(row["skipped_years"]),
+            ints(row["source_years"]), int.__repr__(row["target_year"]),
+            text(row["variable"]), num(row["wis"]),
+        ))
+        sep = ",\n"
+    fh.write("[]\n" if sep == "[\n" else "\n]\n")

@@ -223,10 +223,11 @@ def test_criterion_5_synthetic_calibration():
     result = run_backtest(config, panel)
     per_level = {tau: [] for tau in config.levels}
     contains_point = True
-    for sf in result.scored:
+    for row in result.audit:
         for tau in config.levels:
-            per_level[tau].append(sf.intervals[tau].contains(sf.outcome))
-            if not sf.intervals[tau].contains(sf.intervals[tau].center):
+            interval = row["intervals"][str(tau)]
+            per_level[tau].append(interval["lower"] <= row["outcome"] <= interval["upper"])
+            if not interval["lower"] <= row["point"] <= interval["upper"]:
                 contains_point = False
     counts = {tau: len(v) for tau, v in per_level.items()}
     coverage = {tau: float(np.mean(v)) for tau, v in per_level.items()}

@@ -1,5 +1,5 @@
 """``write_audit`` against ``json.dumps(rows, indent=2, sort_keys=True)``, on
-generated rows of ``_audit_row``'s shape and on a real backtest, and the
+generated rows of ``audit_row``'s shape and on a real backtest, and the
 report rebuilt from a written ``audit.json`` and ``run.json``."""
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from intervalcast.pipeline import (
     evaluation_report,
     load_config,
     run_backtest,
-    scored_from_audit,
-    write_audit,
     write_backtest_outputs,
 )
+from intervalcast.scoring import check_rows, write_audit
 
 from test_history import _golden_inputs
 
@@ -60,7 +59,7 @@ score_parts = st.fixed_dictionaries({
 
 @st.composite
 def audit_rows(draw):
-    """One row with ``_audit_row``'s keys, in its insertion order."""
+    """One row with ``audit_row``'s keys, in its insertion order."""
     taus = draw(levels)
     return {
         "country": draw(texts),
@@ -114,8 +113,10 @@ def test_report_rebuilt_from_written_audit_is_byte_identical(tmp_path):
     )
     result = run_backtest(config, panel, quarterly=quarterly)
     write_backtest_outputs(result, str(tmp_path))
-    scored = scored_from_audit(json.loads((tmp_path / "audit.json").read_text()))
-    report = evaluation_report(scored, load_config(str(tmp_path / "run.json")))
-    assert {sf.method for sf in scored} == {"imf", "ar"}
+    rows = json.loads((tmp_path / "audit.json").read_text())
+    rebuilt = load_config(str(tmp_path / "run.json"))
+    check_rows(rows, rebuilt.levels)
+    report = evaluation_report(rows, rebuilt)
+    assert {row["method"] for row in rows} == {"imf", "ar"}
     assert report.to_csv() == (tmp_path / "report.csv").read_text()
     assert report.to_json() == (tmp_path / "report.json").read_text()

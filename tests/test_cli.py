@@ -1,7 +1,11 @@
 import csv
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intervalcast.cli import main
 from intervalcast.domain import ReleaseDate, Season, TargetId
@@ -15,6 +19,44 @@ def panel_path(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_text(panel.to_canonical_csv())
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def backtest_out(tmp_path_factory):
+    """The output directory of a two-country backtest run with an exclusion,
+    so its ``run.json`` holds one."""
+    root = tmp_path_factory.mktemp("backtest")
+    data = root / "panel.csv"
+    data.write_text(make_panel(countries=("AAA", "BBB")).to_canonical_csv())
+    assert main(["backtest", "--data", str(data), "--out", str(root / "out"),
+                 "--exclude", "AAA:2015-2016"]) == 0
+    return root / "out"
+
+
+DELETE = object()
+
+
+def changed(row, path, value):
+    """Set the field at ``path`` (a key path) of ``row`` to ``value``, or
+    delete it when ``value`` is ``DELETE``."""
+    *parents, key = path
+    for part in parents:
+        row = row[part]
+    if value is DELETE:
+        del row[key]
+    else:
+        row[key] = value
+
+
+def audit_with(backtest_out, dest, index, path, value, run_json=True):
+    """``backtest_out``'s audit with one field of row ``index`` changed,
+    written to ``dest`` with the run's ``run.json`` beside it (or not)."""
+    rows = json.loads((backtest_out / "audit.json").read_text())
+    changed(rows[index], path, value)
+    (dest / "audit.json").write_text(json.dumps(rows))
+    if run_json:
+        (dest / "run.json").write_text((backtest_out / "run.json").read_text())
+    return dest / "audit.json"
 
 
 class TestIngest:
@@ -228,6 +270,52 @@ class TestBadInput:
         assert code == 1
         self._assert_one_line_error(capsys, "variable")
 
+    @pytest.mark.parametrize("path, value, fragment", [
+        (("outcome",), "x", "'outcome' must be a number"),
+        (("outcome",), None, "'outcome' must be a number"),
+        (("outcome",), True, "'outcome' must be a number"),
+        (("wis",), "x", "'wis' must be a number"),
+        (("scores", "0.5", "dispersion"), "x", "score '0.5'"),
+        (("intervals", "0.8", "lower"), "x", "interval '0.8'"),
+        (("intervals", "0.8", "lower"), 1e9, "interval '0.8'"),
+        (("country",), 5, "'country' must be a nonempty string"),
+        (("target_year",), "2015", "'target_year' must be an integer"),
+        (("target_year",), True, "'target_year' must be an integer"),
+    ])
+    def test_malformed_audit_row_exits_one(self, backtest_out, tmp_path, capsys, path, value, fragment):
+        # The run excluded AAA:2015-2016, and row 3 is an AAA row.
+        audit = audit_with(backtest_out, tmp_path, 3, path, value)
+        code = main(["report", "--audit", str(audit)])
+        assert code == 1
+        self._assert_one_line_error(capsys, "malformed audit row 3: ", fragment)
+
+    @pytest.mark.parametrize("run_json", [True, False])
+    @pytest.mark.parametrize("part", ["intervals", "scores"])
+    def test_audit_without_a_level_names_row_and_level(self, backtest_out, tmp_path, capsys,
+                                                       run_json, part):
+        audit = audit_with(backtest_out, tmp_path, 5, (part, "0.5"), DELETE, run_json=run_json)
+        code = main(["report", "--audit", str(audit)])
+        assert code == 1
+        # No warning about the missing run.json: the error is the only line.
+        self._assert_one_line_error(capsys, f"malformed audit row 5: no {part[:-1]} at level 0.5")
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["backtest", "--window", "x"], "argument --window: invalid int value: 'x'"),
+        (["forecast", "--origin-year", "2020", "--origin-season", "X"], "argument --origin-season"),
+        ([], "required: command"),
+    ])
+    def test_usage_error_exits_one(self, capsys, argv, fragment):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        self._assert_one_line_error(capsys, fragment)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["backtest", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: intervalcast backtest")
+
     @pytest.mark.parametrize("content, kind", [("[1, 2]", "list"), ('"abc"', "str")])
     def test_config_that_is_not_an_object_exits_one(self, panel_path, tmp_path, capsys,
                                                      content, kind):
@@ -254,3 +342,41 @@ class TestBadInput:
         assert code == 1
         self._assert_one_line_error(capsys, fragment)
         assert not (tmp_path / "out").exists()
+
+
+def key_paths(obj, prefix=()):
+    """The key path of every field of ``obj``, nested objects' fields included."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([10**400, -(10**400)]),
+    st.floats(), st.text(max_size=6), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_report_on_an_audit_with_one_field_changed_exits_cleanly(backtest_out, data):
+    """One field of one row deleted or retyped to each JSON type: ``report``
+    exits 0 with nothing on stderr, or 1 with one ``error:`` line."""
+    rows = json.loads((backtest_out / "audit.json").read_text())
+    index = data.draw(st.integers(0, len(rows) - 1), label="row")
+    path = data.draw(st.sampled_from(sorted(key_paths(rows[index]))), label="path")
+    value = data.draw(st.one_of(st.just(DELETE), json_values), label="value")
+    dest = backtest_out.parent / "fuzz"
+    dest.mkdir(exist_ok=True)
+    audit = audit_with(backtest_out, dest, index, path, value)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["report", "--audit", str(audit)])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        assert out.getvalue().startswith("country,variable,horizon,method,mean_wis,n\n")

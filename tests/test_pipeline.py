@@ -244,7 +244,10 @@ class TestRunBacktest:
     def test_each_forecast_scored_once(self):
         panel = backtest_panel(2)
         result = run_backtest(RunConfig(), panel)
-        keys = [(sf.method, sf.target, sf.horizon, sf.target_year) for sf in result.scored]
+        keys = [
+            (row["method"], row["country"], row["variable"], row["horizon"], row["target_year"])
+            for row in result.audit
+        ]
         assert len(keys) == len(set(keys))
 
     def test_target_years_within_holdout_and_origins_consistent(self):
@@ -252,16 +255,17 @@ class TestRunBacktest:
         config = RunConfig()
         result = run_backtest(config, panel)
         h0, h1 = config.holdout_span
-        for sf in result.scored:
-            assert h0 <= sf.target_year <= h1
-            assert sf.horizon.origin_for(sf.target_year) == sf.origin
+        horizons = {h.label: h for h in HORIZONS}
+        for row in result.audit:
+            assert h0 <= row["target_year"] <= h1
+            origin = horizons[row["horizon"]].origin_for(row["target_year"])
+            assert str(origin) == row["forecast_origin"]
 
     def test_expected_count(self):
         # 2 countries x 1 variable x 4 horizons x 11 holdout years.
         panel = backtest_panel(2)
         result = run_backtest(RunConfig(), panel)
-        assert len(result.scored) == 2 * 4 * 11
-        assert len(result.audit) == len(result.scored)
+        assert len(result.audit) == 2 * 4 * 11
 
     def test_pooled_coverage_near_nominal(self):
         panel = backtest_panel(6)
@@ -320,8 +324,8 @@ class TestRunBacktest:
         panel = backtest_panel(2)
         config = RunConfig(methods=("ar",))
         result = run_backtest(config, panel, quarterly=ar_quarterly(panel.targets, seed=9))
-        assert result.scored
-        assert {sf.method for sf in result.scored} == {"ar"}
+        assert result.audit
+        assert {row["method"] for row in result.audit} == {"ar"}
 
     def test_ar_method_requires_quarterly_data(self):
         with pytest.raises(ValueError, match="quarterly data"):

@@ -1,16 +1,30 @@
+import io
+import json
+from dataclasses import dataclass
+from typing import Mapping
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from intervalcast.domain import Horizon, ReleaseDate, Season, TargetId
-from intervalcast.intervals import PredictionInterval
+from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, TargetId
+from intervalcast.intervals import GridCell, IntervalGrid, IntervalOffsets, PredictionInterval
 from intervalcast.scoring import (
     POOLED,
-    ScoredForecast,
+    CellStats,
+    EvaluationReport,
+    ScoreDecomposition,
     WisWeights,
     aggregate_report,
+    audit_row,
+    check_rows,
     coverage_rate,
     interval_score,
+    mean,
     weighted_interval_score,
+    wis_of_totals,
+    write_audit,
 )
 
 
@@ -154,47 +168,47 @@ class TestCoverage:
         assert coverage_rate(pairs) == pytest.approx(0.80, abs=0.05)
 
 
-def scored(country, horizon, wis_value, outcome=0.0, year=2015, method="imf"):
-    intervals = {
-        0.5: make_interval(0.5, -1.0, 1.0),
-        0.8: make_interval(0.8, -2.0, 2.0),
-    }
-    scores = {
-        tau: interval_score(pi.lower, pi.upper, outcome, tau)
-        for tau, pi in intervals.items()
-    }
-    return ScoredForecast(
-        target=TargetId(country, "gdp"),
-        horizon=horizon,
-        origin=horizon.origin_for(year),
-        target_year=year,
-        method=method,
-        outcome=outcome,
-        intervals=intervals,
-        scores=scores,
-        wis=wis_value,
-    )
+def scored(country, horizon, outcome=0.0, year=2015, method="imf"):
+    """The audit row of a forecast at point 0 with offsets +-1 (level 0.5)
+    and +-2 (level 0.8), built by the backtest's own row builder."""
+    origin = horizon.origin_for(year)
+    cell = GridCell(point=0.0, target_year=year, forecast_origin=origin, offsets={
+        0.5: IntervalOffsets(-1.0, 1.0), 0.8: IntervalOffsets(-2.0, 2.0),
+    })
+    grid = IntervalGrid(TargetId(country, "gdp"), origin, {horizon: cell}, blocks=(1,))
+    return audit_row(grid, horizon, method, outcome, WisWeights((0.5, 0.8)))
 
 
 class TestAggregateReport:
+    def test_row_scores(self):
+        row = scored("AAA", Horizon.FALL_CURRENT, outcome=5.0)
+        assert row["intervals"]["0.5"] == {
+            "lower": -1.0, "upper": 1.0, "degenerate": False, "excludes_center": False,
+        }
+        # Outcome 5 lies 4 above [-1, 1] and 3 above [-2, 2].
+        assert row["scores"]["0.5"] == {
+            "total": 18.0, "dispersion": 2.0, "overprediction": 0.0, "underprediction": 16.0,
+        }
+        assert row["scores"]["0.8"]["total"] == pytest.approx(34.0, abs=1e-12)
+        assert row["wis"] == pytest.approx((0.25 * 18.0 + 0.1 * 34.0) / 0.35, abs=1e-12)
+
     def test_cell_mean(self):
         report = aggregate_report(
-            [scored("AAA", Horizon.FALL_CURRENT, 2.0), scored("AAA", Horizon.FALL_CURRENT, 4.0)],
+            [scored("AAA", Horizon.FALL_CURRENT, 0.0), scored("AAA", Horizon.FALL_CURRENT, 5.0)],
             levels=(0.5, 0.8),
         )
         cell = report.cells[("AAA", "gdp", "fall-current", "imf")]
-        assert cell.mean_wis == 3.0
+        # WIS (0.25 * 2 + 0.1 * 4) / 0.35 at outcome 0, (0.25 * 18 + 0.1 * 34) / 0.35 at 5.
+        assert cell.mean_wis == pytest.approx((0.9 / 0.35 + 7.9 / 0.35) / 2, abs=1e-12)
+        assert cell.coverage == {0.5: 0.5, 0.8: 0.5}
+        assert cell.mean_length == {0.5: 2.0, 0.8: 4.0}
         assert cell.n == 2
 
     def test_component_shares_sum_to_mean_wis(self, rng):
-        forecasts = []
-        for i in range(20):
-            outcome = float(rng.normal(scale=3))
-            sf = scored("AAA", Horizon.FALL_CURRENT, 0.0, outcome=outcome)
-            wis = weighted_interval_score(sf.intervals, outcome, WisWeights((0.5, 0.8)))
-            forecasts.append(
-                ScoredForecast(**{**sf.__dict__, "wis": wis})
-            )
+        forecasts = [
+            scored("AAA", Horizon.FALL_CURRENT, outcome=float(rng.normal(scale=3)))
+            for _ in range(20)
+        ]
         report = aggregate_report(forecasts, levels=(0.5, 0.8))
         cell = report.cells[("AAA", "gdp", "fall-current", "imf")]
         total = cell.mean_dispersion + cell.mean_overprediction + cell.mean_underprediction
@@ -204,24 +218,25 @@ class TestAggregateReport:
         forecasts = []
         for i, country in enumerate("ABCDEFG"):
             for _ in range(i + 1):
-                forecasts.append(scored(country * 3, Horizon.FALL_NEXT, float(i)))
+                forecasts.append(scored(country * 3, Horizon.FALL_NEXT, outcome=float(i)))
         report = aggregate_report(forecasts, levels=(0.5, 0.8))
         pooled = report.cells[(POOLED, "gdp", "fall-next", "imf")]
+        wis = [forecasts[i * (i + 1) // 2]["wis"] for i in range(7)]
         counts = [i + 1 for i in range(7)]
-        expected = sum((i + 1) * float(i) for i in range(7)) / sum(counts)
+        expected = sum(n * w for n, w in zip(counts, wis)) / sum(counts)
         assert pooled.mean_wis == pytest.approx(expected, abs=1e-12)
         assert pooled.n == sum(counts)
 
     def test_exclusions(self):
         forecasts = [
-            scored("JPN", Horizon.FALL_CURRENT, 1.0, year=2021),
-            scored("JPN", Horizon.FALL_CURRENT, 9.0, year=2019),
+            scored("JPN", Horizon.FALL_CURRENT, 0.0, year=2021),
+            scored("JPN", Horizon.FALL_CURRENT, 5.0, year=2019),
         ]
         report = aggregate_report(forecasts, levels=(0.5, 0.8),
                                   exclusions=(("JPN", 2021, 2023),))
         cell = report.cells[("JPN", "gdp", "fall-current", "imf")]
         assert cell.n == 1
-        assert cell.mean_wis == 9.0
+        assert cell.mean_wis == forecasts[1]["wis"]
 
     def test_empty_after_exclusions_warns(self):
         report = aggregate_report(
@@ -238,8 +253,182 @@ class TestAggregateReport:
         csv_text = report.to_csv()
         header = csv_text.splitlines()[0]
         assert header == "country,variable,horizon,method,level,metric,value,n"
-        import json
-
         payload = json.loads(report.to_json())
         assert payload["levels"] == [0.5, 0.8]
         assert any(row["metric"] == "coverage" for row in payload["rows"])
+
+
+# -- the object path, the oracle of the audit rows and their aggregation -----
+@dataclass(frozen=True)
+class ScoredForecast:
+    """One interval forecast scored against its outcome, at all levels: the
+    record the backtest kept before its audit rows were its scored record."""
+
+    target: TargetId
+    horizon: Horizon
+    origin: ReleaseDate
+    target_year: int
+    method: str
+    outcome: float
+    intervals: Mapping[float, PredictionInterval]
+    scores: Mapping[float, ScoreDecomposition]
+    wis: float
+
+
+def scored_forecast(grid, horizon, method, outcome, levels):
+    """The forecast as the backtest scored it into objects."""
+    cell = grid.cells[horizon]
+    intervals = {tau: cell.interval(tau) for tau in levels}
+    scores = {tau: interval_score(pi.lower, pi.upper, outcome, tau) for tau, pi in intervals.items()}
+    return ScoredForecast(
+        target=grid.target, horizon=horizon, origin=cell.forecast_origin,
+        target_year=cell.target_year, method=method, outcome=outcome, intervals=intervals,
+        scores=scores, wis=wis_of_totals([scores[tau].total for tau in levels], WisWeights(levels)),
+    )
+
+
+def object_audit_row(sf, grid, cell):
+    """The audit row the backtest built from a ``ScoredForecast``."""
+    return {
+        "country": sf.target.country,
+        "variable": sf.target.variable,
+        "method": sf.method,
+        "horizon": sf.horizon.label,
+        "grid_origin": str(grid.origin),
+        "forecast_origin": str(cell.forecast_origin),
+        "target_year": sf.target_year,
+        "point": cell.point,
+        "outcome": sf.outcome,
+        "source_years": list(cell.source_years),
+        "skipped_years": list(cell.skipped_years),
+        "pava_blocks": list(grid.blocks or ()),
+        "intervals": {
+            str(tau): {
+                "lower": pi.lower,
+                "upper": pi.upper,
+                "degenerate": pi.degenerate,
+                "excludes_center": pi.excludes_center,
+            }
+            for tau, pi in sorted(sf.intervals.items())
+        },
+        "scores": {
+            str(tau): {
+                "total": sc.total,
+                "dispersion": sc.dispersion,
+                "overprediction": sc.overprediction,
+                "underprediction": sc.underprediction,
+            }
+            for tau, sc in sorted(sf.scores.items())
+        },
+        "wis": sf.wis,
+    }
+
+
+def object_cell_stats(group, levels):
+    coverage, mean_length, mean_is = {}, {}, {}
+    for tau in levels:
+        pairs = [(sf.intervals[tau], sf.outcome) for sf in group]
+        coverage[tau] = coverage_rate(pairs)
+        mean_length[tau] = mean([sf.intervals[tau].length for sf in group])
+        mean_is[tau] = mean([sf.scores[tau].total for sf in group])
+    wts = WisWeights(levels)
+
+    def wis_component(sf, attr):
+        return (
+            sum(w * getattr(sf.scores[tau], attr) for tau, w in zip(levels, wts.weights))
+            / wts.total
+        )
+
+    return CellStats(
+        n=len(group),
+        mean_wis=mean([sf.wis for sf in group]),
+        mean_dispersion=mean([wis_component(sf, "dispersion") for sf in group]),
+        mean_overprediction=mean([wis_component(sf, "overprediction") for sf in group]),
+        mean_underprediction=mean([wis_component(sf, "underprediction") for sf in group]),
+        coverage=coverage,
+        mean_length=mean_length,
+        mean_is=mean_is,
+    )
+
+
+def object_report(scored, levels, exclusions=()):
+    """The backtest's report from ``ScoredForecast`` objects."""
+    report = EvaluationReport(levels=levels)
+    kept = [
+        sf for sf in scored
+        if not any(sf.target.country == c and lo <= sf.target_year <= hi for c, lo, hi in exclusions)
+    ]
+    if not kept:
+        report.warnings.append("no scored forecasts after exclusions")
+        return report
+    groups = {}
+    for sf in kept:
+        key = (sf.target.country, sf.target.variable, sf.horizon.label, sf.method)
+        groups.setdefault(key, []).append(sf)
+        pooled = (POOLED, sf.target.variable, sf.horizon.label, sf.method)
+        groups.setdefault(pooled, []).append(sf)
+    for key, group in groups.items():
+        report.cells[key] = object_cell_stats(group, levels)
+    return report
+
+
+# Levels whose string order differs from their numeric order ("0.05" <
+# "1e-05"), and single levels.
+level_sets = st.lists(
+    st.one_of(st.sampled_from([1e-05, 0.05, 0.1, 0.5, 0.8, 0.9, 0.95, 0.123456789]),
+              st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    unique=True, min_size=1, max_size=4,
+).map(lambda taus: tuple(sorted(taus)))
+values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e-300, -2.5]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def scored_forecasts(draw, levels):
+    """A one-cell grid and an outcome, often on an interval end or at the point."""
+    horizon = draw(st.sampled_from(HORIZONS))
+    year = draw(st.integers(2010, 2016))
+    point = draw(values)
+    offsets = {tau: IntervalOffsets(*sorted([draw(values), draw(values)])) for tau in levels}
+    origin = horizon.origin_for(year)
+    cell = GridCell(point=point, target_year=year, forecast_origin=origin, offsets=offsets,
+                    source_years=(year - 2, year - 1))
+    target = TargetId(draw(st.sampled_from(["AAA", "BBB", "CCC"])), draw(st.sampled_from(["gdp", "cpi"])))
+    grid = IntervalGrid(target, origin, {horizon: cell}, blocks=(1,))
+    ends = [point + o for offs in offsets.values() for o in (offs.lower, offs.upper)]
+    outcome = draw(st.one_of(st.sampled_from([point, -0.0, *ends]), values))
+    return grid, horizon, draw(st.sampled_from(["imf", "ar"])), outcome
+
+
+@st.composite
+def backtests(draw):
+    levels = draw(level_sets)
+    forecasts = draw(st.lists(scored_forecasts(levels), max_size=12))
+    exclusions = draw(st.lists(
+        st.tuples(st.sampled_from(["AAA", "BBB", "DDD"]), st.integers(2009, 2017), st.integers(0, 3))
+        .map(lambda t: (t[0], t[1], t[1] + t[2])),
+        max_size=2,
+    ))
+    return levels, forecasts, tuple(exclusions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(backtests())
+def test_row_aggregation_is_byte_identical_to_the_object_path(case):
+    levels, forecasts, exclusions = case
+    weights = WisWeights(levels)
+    rows = [audit_row(grid, h, method, y, weights) for grid, h, method, y in forecasts]
+    objects = [scored_forecast(grid, h, method, y, levels) for grid, h, method, y in forecasts]
+    old_rows = [object_audit_row(sf, grid, grid.cells[h]) for sf, (grid, h, _, _) in zip(objects, forecasts)]
+    assert json.dumps(rows, sort_keys=True) == json.dumps(old_rows, sort_keys=True)
+    expected = object_report(objects, levels, exclusions)
+    # Rows as built, and as read back from the audit file.
+    buf = io.StringIO()
+    write_audit(rows, buf)
+    read_back = json.loads(buf.getvalue())
+    check_rows(read_back, levels)
+    for got in (aggregate_report(rows, levels, exclusions), aggregate_report(read_back, levels, exclusions)):
+        assert got.to_csv() == expected.to_csv()
+        assert got.to_json() == expected.to_json()
