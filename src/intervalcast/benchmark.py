@@ -11,8 +11,11 @@ annual point forecasts feed the same interval machinery as external forecasts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -48,24 +51,40 @@ def quarter_cutoff(origin: ReleaseDate) -> Quarter:
 
 @dataclass(frozen=True)
 class QuarterlySeries:
-    """Quarterly growth rates (percent per quarter) for one target."""
+    """Quarterly growth rates (percent per quarter) for one target, keyed by
+    (year, quarter) with quarters numbered 1-4. ``growth`` is a read-only
+    copy, so the runs found once stay the series' runs."""
 
     target: TargetId
-    growth: dict[Quarter, float]
+    growth: Mapping[Quarter, float]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "growth", MappingProxyType(dict(self.growth)))
 
     def value(self, q: Quarter) -> Optional[float]:
         return self.growth.get(q)
 
+    @cached_property
+    def _runs(self) -> tuple[list[int], list[list[float]]]:
+        """The first quarter's index and the values (oldest first) of each
+        gap-free run, in order: found once per series."""
+        firsts: list[int] = []
+        runs: list[list[float]] = []
+        for q in sorted(self.growth):
+            if not runs or _q_index(q) != firsts[-1] + len(runs[-1]):
+                firsts.append(_q_index(q))
+                runs.append([])
+            runs[-1].append(self.growth[q])
+        return firsts, runs
+
     def contiguous_run_ending(self, last: Quarter) -> list[float]:
         """Observed values of the longest gap-free run ending at ``last``
         (newest last); empty if ``last`` itself is unobserved."""
-        values: list[float] = []
-        growth, (year, quarter) = self.growth.get, last
-        while (value := growth((year, quarter))) is not None:
-            values.append(value)
-            year, quarter = (year, quarter - 1) if quarter > 1 else (year - 1, 4)
-        values.reverse()
-        return values
+        if last not in self.growth:
+            return []
+        firsts, runs = self._runs
+        k = bisect_right(firsts, _q_index(last)) - 1
+        return runs[k][:_q_index(last) - firsts[k] + 1]
 
 
 @dataclass(frozen=True)

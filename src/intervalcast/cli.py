@@ -158,7 +158,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     unknown."""
     audit_path = args.audit or os.path.join(_config_from_args(args).out, "audit.json")
     with open(audit_path, encoding="utf-8") as fh:
-        rows = json.load(fh)
+        try:
+            rows = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise ValueError(f"{audit_path}: {exc}") from None
     if not isinstance(rows, list):
         raise ValueError(f"{audit_path}: an audit must be an array of objects, not {type(rows).__name__}")
     run_json = os.path.join(os.path.dirname(audit_path), "run.json")

@@ -110,6 +110,11 @@ class RunConfig:
             value = getattr(self, name)
             if not (isinstance(value, kind) and not isinstance(value, bool) or optional and value is None):
                 raise ValueError(f"{name} must be {kind.__name__}{' or None' * optional}, got {value!r}")
+        for name in ("train_span", "holdout_span"):
+            span = getattr(self, name)
+            if not (isinstance(span, tuple) and len(span) == 2
+                    and all(isinstance(year, int) and not isinstance(year, bool) for year in span)):
+                raise ValueError(f"{name} must be a pair of integer years, got {span!r}")
         validate_levels(self.levels)
         if self.window < 1:
             raise ValueError("window length must be >= 1")
@@ -150,7 +155,10 @@ def load_config(path: Optional[str] = None, **overrides: object) -> RunConfig:
     raw: dict[str, object] = {}
     if path:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # malformed JSON or text that is not UTF-8
+                raise ValueError(f"config file {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ValueError(f"config file {path} must hold a JSON object, not {type(raw).__name__}")
     raw.update({k: v for k, v in overrides.items() if v is not None})

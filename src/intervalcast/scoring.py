@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -70,6 +69,11 @@ class WisWeights:
     @cached_property
     def total(self) -> float:
         return sum(self.weights)
+
+    @cached_property
+    def keys(self) -> tuple[str, ...]:
+        """The audit row's key of each level, ``str(tau)``."""
+        return tuple(str(tau) for tau in self.levels)
 
 
 def weighted_interval_score(
@@ -163,14 +167,37 @@ class EvaluationReport:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        payload = {
-            "levels": list(self.levels),
-            "rows": [
-                {**row, "value": float(row["value"])} for row in self.to_rows()
-            ],
-            "warnings": list(self.warnings),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        """The text of ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``
+        for the payload ``{"levels", "rows", "warnings"}``, each row rendered
+        through one template, its value as ``float(value)``."""
+        text, number = encode_basestring_ascii, _json_number
+        rows = [
+            _REPORT_ROW % (
+                text(row["country"]), text(row["horizon"]),
+                '""' if row["level"] == "" else number(row["level"]),  # type: ignore[arg-type]
+                text(row["method"]), text(row["metric"]), int.__repr__(row["n"]),  # type: ignore[arg-type]
+                number(float(row["value"])), text(row["variable"]),  # type: ignore[arg-type]
+            )
+            for row in self.to_rows()
+        ]
+        return (f'{{\n  "levels": {_json_list(map(number, self.levels))},'
+                f'\n  "rows": {_json_list(rows)},'
+                f'\n  "warnings": {_json_list(map(text, self.warnings))}\n}}\n')
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(value: float) -> str:
+    """``json.dumps``' text of a float: its repr, or NaN / Infinity / -Infinity."""
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+def _json_list(items: Iterable[str]) -> str:
+    """``json.dumps(indent=2)``'s layout of a list of rendered ``items`` one level deep."""
+    body = ",\n    ".join(items)
+    return f"[\n    {body}\n  ]" if body else "[]"
 
 
 def _fmt(value: object) -> str:
@@ -184,39 +211,41 @@ def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def _cell_stats(group: Sequence[dict], levels: tuple[float, ...]) -> CellStats:
-    keys = [str(tau) for tau in levels]
-    coverage: dict[float, float] = {}
-    mean_length: dict[float, float] = {}
-    mean_is: dict[float, float] = {}
-    for tau, key in zip(levels, keys):
-        hits, lengths, totals = 0, [], []
-        for row in group:
-            interval, parts = row["intervals"][key], row["scores"][key]
-            lower, upper = interval["lower"], interval["upper"]
-            hits += lower <= row["outcome"] <= upper  # closed, as ``coverage_rate``
-            lengths.append(upper - lower)
-            totals.append(parts["dispersion"] + parts["overprediction"] + parts["underprediction"])
-        coverage[tau] = hits / len(group)
-        mean_length[tau] = mean(lengths)
-        mean_is[tau] = mean(totals)
+def _row_record(row: dict, weights: WisWeights) -> tuple:
+    """``row`` reduced once for the cells it joins: its WIS, its three WIS
+    components, then per level its closed-interval hit (as ``coverage_rate``),
+    its interval length and its total summed from the parts."""
+    intervals, scores, outcome = row["intervals"], row["scores"], row["outcome"]
+    hits, lengths, totals, dispersion, over, under = [], [], [], [], [], []
+    for key, w in zip(weights.keys, weights.weights):
+        interval, parts = intervals[key], scores[key]
+        lower, upper = interval["lower"], interval["upper"]
+        d, o, u = parts["dispersion"], parts["overprediction"], parts["underprediction"]
+        hits.append(lower <= outcome <= upper)
+        lengths.append(upper - lower)
+        totals.append(d + o + u)
+        dispersion.append(w * d)
+        over.append(w * o)
+        under.append(w * u)
     # Component means are taken on the same weighted-average scale as the WIS
     # so that dispersion + over + under sums to the mean WIS per cell.
-    wts = WisWeights(levels)
+    total = weights.total
+    return (row["wis"], sum(dispersion) / total, sum(over) / total, sum(under) / total,
+            *hits, *lengths, *totals)
 
-    def wis_component(row: dict, part: str) -> float:
-        scores = row["scores"]
-        return sum([w * scores[key][part] for key, w in zip(keys, wts.weights)]) / wts.total
 
+def _cell_stats(records: Sequence[tuple], levels: tuple[float, ...]) -> CellStats:
+    n, k = len(records), len(levels)
+    wis, dispersion, over, under, *columns = zip(*records)
     return CellStats(
-        n=len(group),
-        mean_wis=mean([row["wis"] for row in group]),
-        mean_dispersion=mean([wis_component(row, "dispersion") for row in group]),
-        mean_overprediction=mean([wis_component(row, "overprediction") for row in group]),
-        mean_underprediction=mean([wis_component(row, "underprediction") for row in group]),
-        coverage=coverage,
-        mean_length=mean_length,
-        mean_is=mean_is,
+        n=n,
+        mean_wis=mean(wis),
+        mean_dispersion=mean(dispersion),
+        mean_overprediction=mean(over),
+        mean_underprediction=mean(under),
+        coverage={tau: sum(hits) / n for tau, hits in zip(levels, columns[:k])},
+        mean_length={tau: mean(lengths) for tau, lengths in zip(levels, columns[k:2 * k])},
+        mean_is={tau: mean(totals) for tau, totals in zip(levels, columns[2 * k:])},
     )
 
 
@@ -228,24 +257,27 @@ def aggregate_report(
     """Aggregate audit rows into per-cell and country-pooled statistics.
 
     ``rows`` are ``audit_row``'s, or rows read back that ``check_rows``
-    passed at ``levels``. ``exclusions`` are (country, first-year, last-year)
-    spans dropped before aggregation. Empty cells are omitted with a warning
-    rather than failing.
+    passed at ``levels``. Each row is reduced once, and its record joins both
+    its country's cell and the pooled cell. ``exclusions`` are (country,
+    first-year, last-year) spans dropped before aggregation. Empty cells are
+    omitted with a warning rather than failing.
     """
     report = EvaluationReport(levels=levels)
-    groups: dict[tuple[str, str, str, str], list[dict]] = {}
+    weights = WisWeights(levels)
+    groups: dict[tuple[str, str, str, str], list[tuple]] = {}
     for row in rows:
         country, year = row["country"], row["target_year"]
         if any(country == c and lo <= year <= hi for c, lo, hi in exclusions):
             continue
         cell = (row["variable"], row["horizon"], row["method"])
-        groups.setdefault((country, *cell), []).append(row)
-        groups.setdefault((POOLED, *cell), []).append(row)
+        record = _row_record(row, weights)
+        groups.setdefault((country, *cell), []).append(record)
+        groups.setdefault((POOLED, *cell), []).append(record)
     if not groups:
         report.warnings.append("no scored forecasts after exclusions")
         return report
-    for key, group in groups.items():
-        report.cells[key] = _cell_stats(group, levels)
+    for key, records in groups.items():
+        report.cells[key] = _cell_stats(records, levels)
     return report
 
 
@@ -262,16 +294,16 @@ def audit_row(
     intervals: dict[str, dict[str, object]] = {}
     scores: dict[str, dict[str, float]] = {}
     totals: list[float] = []
-    for tau in weights.levels:
+    for tau, key in zip(weights.levels, weights.keys):
         offsets = cell.offsets[tau]
         lower, upper = point + offsets.lower, point + offsets.upper
         dispersion, over, under = score_parts(lower, upper, outcome, tau)
         totals.append(total := dispersion + over + under)
-        intervals[str(tau)] = {
+        intervals[key] = {
             "lower": lower, "upper": upper,
             "degenerate": lower == upper, "excludes_center": not (lower <= point <= upper),
         }
-        scores[str(tau)] = {
+        scores[key] = {
             "total": total, "dispersion": dispersion, "overprediction": over, "underprediction": under,
         }
     return {
@@ -355,60 +387,87 @@ def check_rows(rows: Sequence[object], levels: Sequence[float]) -> None:
             raise ValueError(f"malformed audit row {i}: {problem}")
 
 
-def _layout(keys: Sequence[str], indent: str) -> str:
-    """``json.dumps(indent=2)``'s layout of an object with ``keys`` at ``indent``."""
-    return "{" + ",".join(f'\n{indent}  "{key}": %s' for key in keys) + f"\n{indent}}}"
+def _layout(slots: Mapping[str, str], indent: str) -> str:
+    """``json.dumps(indent=2)``'s layout, at ``indent``, of an object whose
+    keys, in order, hold the ``%`` template ``slots``."""
+    return "{" + ",".join(f'\n{indent}  "{key}": {slot}' for key, slot in slots.items()) + f"\n{indent}}}"
 
 
-# ``audit_row``'s shape, keys sorted as ``sort_keys=True`` sorts them.
-_AUDIT_ROW = "  " + _layout((
+def _by_level(keys: Sequence[str], fields: Sequence[str]) -> str:
+    """The layout of an audit row's per-level object with the sorted level
+    ``keys``, each an object of ``fields``."""
+    if not keys:
+        return "{}"
+    level = _layout(dict.fromkeys(fields, "%s"), "      ")
+    heads = [encode_basestring_ascii(key).replace("%", "%%") for key in keys]
+    return "{\n" + ",\n".join(f"      {head}: {level}" for head in heads) + "\n    }"
+
+
+# ``audit_row``'s keys, and its intervals' and scores' fields, each sorted as
+# ``sort_keys=True`` sorts them.
+_ROW_KEYS = (
     "country", "forecast_origin", "grid_origin", "horizon", "intervals", "method", "outcome",
     "pava_blocks", "point", "scores", "skipped_years", "source_years", "target_year",
     "variable", "wis",
-), "  ")
-_SCORE_KEYS = ("dispersion", "overprediction", "total", "underprediction")
-_AUDIT_INTERVAL = "      %s: " + _layout(("degenerate", "excludes_center", "lower", "upper"), "      ")
-_AUDIT_SCORE = "      %s: " + _layout(_SCORE_KEYS, "      ")
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+)
+_INTERVAL_FIELDS = ("degenerate", "excludes_center", "lower", "upper")
+_SCORE_FIELDS = ("dispersion", "overprediction", "total", "underprediction")
+# A row of ``report.json``, as an item of its ``rows`` list.
+_REPORT_ROW = _layout(dict.fromkeys(
+    ("country", "horizon", "level", "method", "metric", "n", "value", "variable"), "%s"), "    ")
+
+
+def _audit_template(interval_keys: Sequence[str], score_keys: Sequence[str]) -> str:
+    """``write_audit``'s ``%`` template of a row with these sorted level keys."""
+    slots = dict.fromkeys(_ROW_KEYS, "%s")
+    slots["intervals"] = _by_level(interval_keys, _INTERVAL_FIELDS)
+    slots["scores"] = _by_level(score_keys, _SCORE_FIELDS)
+    return "  " + _layout(slots, "  ")
 
 
 def write_audit(rows: Iterable[dict[str, object]], fh) -> None:
     """Write ``audit_row`` rows to ``fh`` one at a time, as exactly the text
-    of ``json.dumps(rows, indent=2, sort_keys=True) + "\\n"``."""
-    text, nonfinite, scores = encode_basestring_ascii, _NONFINITE.get, itemgetter(*_SCORE_KEYS)
-    level_order: dict[tuple, list[tuple[str, str]]] = {}
+    of ``json.dumps(rows, indent=2, sort_keys=True) + "\\n"``.
 
-    def num(x: float) -> str:
-        r = float.__repr__(x)
-        return nonfinite(r, r)
+    Each distinct pair of level-key tuples gets one ``%`` template, so a row
+    is written by one ``%`` over a flat tuple of its values' texts."""
+    text, nonfinite = encode_basestring_ascii, _NONFINITE.get
+    bounds, score_fields = itemgetter("lower", "upper"), itemgetter(*_SCORE_FIELDS)
+    templates: dict[tuple, tuple[str, list[str], list[str]]] = {}
 
     def ints(values: list[int]) -> str:
         return "[\n      " + ",\n      ".join(map(int.__repr__, values)) + "\n    ]" if values else "[]"
 
-    def interval(head: str, p: dict) -> str:
-        flags = ("true" if p["degenerate"] else "false", "true" if p["excludes_center"] else "false")
-        return _AUDIT_INTERVAL % (head, *flags, num(p["lower"]), num(p["upper"]))
-
-    def score(head: str, p: dict) -> str:
-        return _AUDIT_SCORE % (head, *map(num, scores(p)))
-
-    def by_level(parts: dict, render) -> str:
-        if not parts:
-            return "{}"
-        order = level_order.get(keys := tuple(parts))
-        if order is None:  # level keys sort as strings, as json sorts them
-            order = level_order[keys] = [(key, text(key)) for key in sorted(keys)]
-        return "{\n" + ",\n".join([render(head, parts[key]) for key, head in order]) + "\n    }"
-
     sep = "[\n"
     for row in rows:
-        fh.write(sep + _AUDIT_ROW % (
+        intervals, scores = row["intervals"], row["scores"]
+        shape = (tuple(intervals), tuple(scores))
+        if (entry := templates.get(shape)) is None:  # level keys sort as strings, as json sorts them
+            interval_keys, score_keys = sorted(intervals), sorted(scores)
+            entry = templates[shape] = (_audit_template(interval_keys, score_keys), interval_keys, score_keys)
+        template, interval_keys, score_keys = entry
+        levels = [intervals[key] for key in interval_keys]
+        # The row's floats in one list: outcome, point, wis, then each
+        # interval's bounds and each score's parts in template order.
+        floats = [row["outcome"], row["point"], row["wis"]]
+        for p in levels:
+            floats += bounds(p)
+        for key in score_keys:
+            floats += score_fields(scores[key])
+        reprs = list(map(float.__repr__, floats))  # float's repr, also for numpy scalars
+        if "nan" in reprs or "inf" in reprs or "-inf" in reprs:
+            reprs = [nonfinite(r, r) for r in reprs]
+        n = 2 * len(levels)
+        interval_values: list[str] = [""] * (2 * n)  # per level: both flags, lower, upper
+        interval_values[0::4] = ["true" if p["degenerate"] else "false" for p in levels]
+        interval_values[1::4] = ["true" if p["excludes_center"] else "false" for p in levels]
+        interval_values[2::4] = reprs[3:3 + n:2]
+        interval_values[3::4] = reprs[4:3 + n:2]
+        fh.write(sep + template % (
             text(row["country"]), text(row["forecast_origin"]), text(row["grid_origin"]),
-            text(row["horizon"]), by_level(row["intervals"], interval), text(row["method"]),
-            num(row["outcome"]), ints(row["pava_blocks"]), num(row["point"]),
-            by_level(row["scores"], score), ints(row["skipped_years"]),
-            ints(row["source_years"]), int.__repr__(row["target_year"]),
-            text(row["variable"]), num(row["wis"]),
+            text(row["horizon"]), *interval_values, text(row["method"]), reprs[0],
+            ints(row["pava_blocks"]), reprs[1], *reprs[3 + n:], ints(row["skipped_years"]),
+            ints(row["source_years"]), int.__repr__(row["target_year"]), text(row["variable"]), reprs[2],
         ))
         sep = ",\n"
     fh.write("[]\n" if sep == "[\n" else "\n]\n")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intervalcast.benchmark import (
     ANNUAL_WEIGHTS,
@@ -192,9 +194,54 @@ class TestSeriesBookkeeping:
         run = series.contiguous_run_ending((2014, 4))
         assert len(run) == (2014 - 2005) * 4 + 2 + 1 - 1  # 2005Q3..2014Q4
 
+    def test_series_is_a_read_only_copy(self):
+        growth = {q: 1.0 for q in annual_window(2020)}
+        series = QuarterlySeries(target=TARGET, growth=growth)
+        assert len(series.contiguous_run_ending((2020, 4))) == 7
+        del growth[(2020, 2)]
+        assert len(series.contiguous_run_ending((2020, 4))) == 7
+        assert annual_truth(series, 2020) == pytest.approx(4.0)
+        with pytest.raises(TypeError):
+            series.growth[(2020, 2)] = 0.0  # type: ignore[index]
+
     def test_annual_truth_requires_all_seven_quarters(self):
         growth = {q: 1.0 for q in annual_window(2020)}
         series = QuarterlySeries(target=TARGET, growth=growth)
         assert annual_truth(series, 2020) == pytest.approx(4.0)
         del growth[(2020, 2)]
         assert annual_truth(QuarterlySeries(TARGET, growth), 2020) is None
+
+
+def walked_run(series, last):
+    """The gap-free run ending at ``last``, walked back one quarter at a time:
+    the oracle of ``QuarterlySeries.contiguous_run_ending``."""
+    values = []
+    growth, (year, quarter) = series.growth.get, last
+    while (value := growth((year, quarter))) is not None:
+        values.append(value)
+        year, quarter = (year, quarter - 1) if quarter > 1 else (year - 1, 4)
+    values.reverse()
+    return values
+
+
+def quarter_at(index):
+    return (index // 4, index % 4 + 1)
+
+
+@st.composite
+def gappy_series(draw):
+    """A series over ``n`` quarters with some quarters missing, and cutoffs
+    before, at and after each gap and at both ends."""
+    start, n = draw(st.integers(1990 * 4, 2000 * 4)), draw(st.integers(0, 48))
+    gaps = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=6)) if n else set()
+    growth = {quarter_at(start + i): draw(st.floats(-5, 5)) for i in range(n) if i not in gaps}
+    ends = {-1, 0, n - 1, n} | {i + d for i in gaps for d in (-1, 0, 1)}
+    return QuarterlySeries(TARGET, growth), [quarter_at(start + i) for i in sorted(ends)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(gappy_series())
+def test_runs_found_once_match_the_walk(case):
+    series, cutoffs = case
+    for cutoff in cutoffs:
+        assert series.contiguous_run_ending(cutoff) == walked_run(series, cutoff)

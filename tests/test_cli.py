@@ -243,6 +243,35 @@ class TestBadInput:
         assert code == 1
         self._assert_one_line_error(capsys, "bad config value", key)
 
+    @pytest.mark.parametrize("key, value", [
+        ("train_span", ["a", "b"]), ("holdout_span", [2013.5, 2023]), ("train_span", [1990, 2012, 5]),
+        ("holdout_span", [True, 2023]),
+    ])
+    def test_bad_span_exits_one(self, panel_path, tmp_path, capsys, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code = main(["backtest", "--config", str(config), "--data", panel_path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        self._assert_one_line_error(capsys, key)
+
+    @pytest.mark.parametrize("content", ["", "{\"window\": 8,}", "\xff"])
+    def test_malformed_config_json_names_the_file(self, panel_path, tmp_path, capsys, content):
+        config = tmp_path / "config.json"
+        config.write_bytes(content.encode("latin-1"))
+        code = main(["backtest", "--config", str(config), "--data", panel_path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        self._assert_one_line_error(capsys, str(config))
+
+    @pytest.mark.parametrize("content", ["", "[{", "\xff"])
+    def test_malformed_audit_json_names_the_file(self, tmp_path, capsys, content):
+        audit = tmp_path / "audit.json"
+        audit.write_bytes(content.encode("latin-1"))
+        code = main(["report", "--audit", str(audit)])
+        assert code == 1
+        self._assert_one_line_error(capsys, str(audit))
+
     @pytest.mark.parametrize("exclude, fragment", [
         (["JPN", 2021, 2023], "['JPN', 2021, 2023]"),
         ("JPN:2023-2021", "first year after last"),

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -431,4 +432,47 @@ def test_row_aggregation_is_byte_identical_to_the_object_path(case):
     check_rows(read_back, levels)
     for got in (aggregate_report(rows, levels, exclusions), aggregate_report(read_back, levels, exclusions)):
         assert got.to_csv() == expected.to_csv()
-        assert got.to_json() == expected.to_json()
+        assert got.to_json() == dumped_report(expected)
+
+
+def dumped_report(report):
+    """``report.json`` as ``json.dumps`` renders it: the oracle of ``to_json``."""
+    payload = {
+        "levels": list(report.levels),
+        "rows": [{**row, "value": float(row["value"])} for row in report.to_rows()],
+        "warnings": list(report.warnings),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+report_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1e16, 1e-7, 5e-324, math.nan, math.inf, -math.inf]),
+    st.floats(),
+).flatmap(lambda x: st.sampled_from([x, np.float64(x)]))
+names = st.one_of(st.sampled_from(["AAA", POOLED, "Ünïcødé", "\x00\"\\", "%s %%"]), st.text(max_size=8))
+
+
+@st.composite
+def reports(draw):
+    """A report of arbitrary cells, possibly none, and warnings."""
+    levels = draw(level_sets)
+    report = EvaluationReport(levels=levels, warnings=draw(st.lists(names, max_size=3)))
+
+    def per_level():
+        return {tau: draw(report_values) for tau in levels}
+
+    for _ in range(draw(st.integers(0, 3))):
+        key = (draw(names), draw(names), draw(st.sampled_from([h.label for h in HORIZONS])), draw(names))
+        report.cells[key] = CellStats(
+            n=draw(st.integers(0, 10**6)), mean_wis=draw(report_values),
+            mean_dispersion=draw(report_values), mean_overprediction=draw(report_values),
+            mean_underprediction=draw(report_values),
+            coverage=per_level(), mean_length=per_level(), mean_is=per_level(),
+        )
+    return report
+
+
+@settings(max_examples=150, deadline=None)
+@given(reports())
+def test_report_json_is_json_dumps_text(report):
+    assert report.to_json() == dumped_report(report)
