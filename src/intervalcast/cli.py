@@ -22,11 +22,13 @@ from intervalcast.ingest import ForecastPanel, parse_forecast_panel, parse_quart
 from intervalcast.pipeline import (
     RunConfig,
     evaluation_report,
+    gaps_json,
     load_config,
     produce_forecast,
     run_backtest,
     run_tuning,
     write_backtest_outputs,
+    write_outputs,
 )
 from intervalcast.scoring import POOLED, check_rows
 
@@ -85,10 +87,7 @@ def _load_external(path: Optional[str]) -> Optional[ForecastPanel]:
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     panel = _load_panel(config.data)
-    os.makedirs(config.out, exist_ok=True)
-    out_path = os.path.join(config.out, "panel_canonical.csv")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(panel.to_canonical_csv())
+    write_outputs(config.out, [("panel_canonical.csv", panel.to_canonical_csv())])
     summary = {
         "forecasts": len(panel.forecasts),
         "realizations": len(panel.realizations),
@@ -111,10 +110,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
             raise ValueError(f"--grid-windows takes comma-separated integers, got {args.grid_windows!r}") from None
     grid = [(w, em, config.quantile_method) for w in windows for em in ErrorMethod]
     report = run_tuning(config, panel, grid)
-    os.makedirs(config.out, exist_ok=True)
-    for name, text in (("tuning.csv", report.to_csv()), ("tuning.json", report.to_json())):
-        with open(os.path.join(config.out, name), "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    write_outputs(config.out, [("tuning.csv", report.to_csv()), ("tuning.json", report.to_json())])
     print(f"tuning report written to {config.out} ({len(report.rows)} cells)")
     return 0
 
@@ -137,13 +133,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     external = _load_external(config.external_forecasts)
     origin = ReleaseDate(args.origin_year, Season.parse(args.origin_season))
     text, gaps = produce_forecast(config, panel, origin, quarterly=quarterly, external=external)
-    os.makedirs(config.out, exist_ok=True)
-    out_path = os.path.join(config.out, f"intervals_{origin}.csv")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    manifest_path = os.path.join(config.out, f"gaps_{origin}.json")
-    with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(sorted(gaps), indent=2) + "\n")
+    out_path, _ = write_outputs(config.out, [
+        (f"intervals_{origin}.csv", text), (f"gaps_{origin}.json", gaps_json(gaps)),
+    ])
     print(f"forecast file written to {out_path}")
     return 2 if gaps else 0
 

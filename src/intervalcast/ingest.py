@@ -87,6 +87,13 @@ class ForecastPanel:
     def forecast(self, target: TargetId, origin: ReleaseDate, target_year: int) -> Optional[float]:
         return self._forecasts.get((target, origin, target_year))
 
+    def settled_truth(self, target: TargetId, year: int) -> Optional[tuple[ReleaseDate, float]]:
+        """The fall release after ``year`` and its value, the year's truth at
+        every release from then on in both truth modes; None when absent."""
+        fall_after = ReleaseDate(year + 1, Season.FALL)
+        truth = self._realizations.get((target, year, fall_after))
+        return None if truth is None else (fall_after, truth)
+
     def vintages_for(self, target: TargetId, target_year: int) -> list[tuple[ReleaseDate, float]]:
         return list(self._vintage_index.get((target, target_year), ()))
 
@@ -262,10 +269,9 @@ def select_truth(
         raise ValueError(f"unknown truth mode {mode!r}")
     # The fall release after the target year, once dated at or before
     # ``as_of``, is the truth whatever else is out; read it directly.
-    fall_after = ReleaseDate(target_year + 1, Season.FALL)
-    settled = panel._realizations.get((target, target_year, fall_after))
-    if settled is not None and fall_after <= as_of:
-        return settled
+    settled = panel.settled_truth(target, target_year)
+    if settled is not None and settled[0] <= as_of:
+        return settled[1]
     available = {v: val for v, val in panel.vintages_for(target, target_year) if v <= as_of}
     if not available:
         raise TruthUnavailableError(
@@ -302,11 +308,7 @@ class PanelTruthSelector:
             return None
 
     def settled(self, target: TargetId, year: int) -> Optional[tuple[ReleaseDate, float]]:
-        """The fall release after ``year`` and its value, which ``select_truth``
-        takes first in both modes once out; None when the panel lacks it."""
-        fall_after = ReleaseDate(year + 1, Season.FALL)
-        truth = self.panel._realizations.get((target, year, fall_after))
-        return None if truth is None else (fall_after, truth)
+        return self.panel.settled_truth(target, year)
 
 
 def parse_quarterly(

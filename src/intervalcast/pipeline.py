@@ -19,7 +19,7 @@ import sys
 from bisect import insort
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from intervalcast import benchmark
 from intervalcast.benchmark import (
@@ -103,6 +103,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name, kind, optional in (
+            ("data", str, False), ("out", str, False), ("quarterly_data", str, True),
+            ("external_forecasts", str, True), ("generated_at", str, True),
             ("truth_rule", FallbackRule, False), ("error_method", ErrorMethod, False),
             ("quantile_method", QuantileMethod, False), ("window", int, False),
             ("ar_min_obs", int, False), ("ar_window", int, True), ("eval_as_of", ReleaseDate, True),
@@ -225,16 +227,17 @@ def fresh_horizons(origin: ReleaseDate) -> tuple[Horizon, ...]:
 
 
 class ErrorHistory:
-    """Error sets of one forecast source, each built once.
+    """Error sets of one forecast source, each built when asked for.
 
     Each (target, horizon, anchor year, origin, error method) set is built at
     ``max_window``, the longest window any caller asks for; a caller that
     needs a shorter window w reads the set's first w entries, exactly what a
     build at window w returns. A set infeasible at ``max_window`` raises
-    ``InsufficientHistoryError`` on every request. Sets are walked over rows
-    filled on first use: settled ``year -> (first release, error)`` per (target,
-    horizon, method), ``year -> point`` per (target, horizon), and, for years
-    not yet settled, ``year -> truth`` per (target, origin)."""
+    ``InsufficientHistoryError``. No run asks for one set twice, so sets are
+    not kept; their builds walk rows filled on first use: settled ``year ->
+    (first release, error)`` per (target, horizon, method), ``year -> point``
+    per (target, horizon), and, for years not yet settled, ``year -> truth``
+    per (target, origin)."""
 
     def __init__(self, forecasts: ForecastLookup, truths: TruthSelector, max_window: int) -> None:
         self.forecasts = forecasts
@@ -243,7 +246,6 @@ class ErrorHistory:
         self._points: dict[tuple[TargetId, Horizon], YearRow] = {}
         self._settled: dict[tuple[TargetId, Horizon, ErrorMethod], YearRow] = {}
         self._truths: dict[tuple[TargetId, ReleaseDate], YearRow] = {}
-        self._sets: dict[tuple, ErrorSet | InsufficientHistoryError] = {}
 
     def error_set(
         self,
@@ -253,30 +255,20 @@ class ErrorHistory:
         origin: ReleaseDate,
         method: ErrorMethod,
     ) -> ErrorSet:
-        key = (target, horizon, anchor_year, origin, method)
-        full = self._sets.get(key)
-        if full is None:
-            forecasts, truths = self.forecasts, self._truth_source
-            points = self._points.setdefault((target, horizon), YearRow(
-                lambda year: forecasts(target, horizon.origin_for(year), year)
-            ))
-            settled = self._settled.setdefault((target, horizon, method), YearRow(
-                lambda year: _settled_entry(truths.settled(target, year), points, year, method)
-            ))
-            truth_row = self._truths.setdefault(
-                (target, origin), YearRow(lambda year: truths(target, year, origin))
-            )
-            try:
-                full = build_error_set(
-                    points, truth_row, target, horizon, anchor_year=anchor_year,
-                    origin=origin, window=self.max_window, method=method, settled=settled,
-                )
-            except InsufficientHistoryError as exc:
-                full = exc
-            self._sets[key] = full
-        if isinstance(full, InsufficientHistoryError):
-            raise full.with_traceback(None)
-        return full
+        forecasts, truths = self.forecasts, self._truth_source
+        points = self._points.setdefault((target, horizon), YearRow(
+            lambda year: forecasts(target, horizon.origin_for(year), year)
+        ))
+        settled = self._settled.setdefault((target, horizon, method), YearRow(
+            lambda year: _settled_entry(truths.settled(target, year), points, year, method)
+        ))
+        truth_row = self._truths.setdefault(
+            (target, origin), YearRow(lambda year: truths(target, year, origin))
+        )
+        return build_error_set(
+            points, truth_row, target, horizon, anchor_year=anchor_year,
+            origin=origin, window=self.max_window, method=method, settled=settled,
+        )
 
 
 def _settled_entry(found, points: YearRow, year: int, method: ErrorMethod) -> tuple[int, Optional[float]]:
@@ -366,59 +358,47 @@ def _ar_lookup(
     return lookup
 
 
-@dataclass
-class MethodData:
-    """Forecast source and error-history truth source for one method label."""
-
-    label: str
-    forecasts: ForecastLookup
-    error_truths: TruthSelector
-
-
-def _method_data(
+def _sources(
     config: RunConfig,
     panel: ForecastPanel,
     quarterly: Optional[dict[TargetId, QuarterlySeries]],
     external: Optional[ForecastPanel],
-) -> list[MethodData]:
+) -> list[tuple[str, ForecastLookup, TruthSelector]]:
+    """``(label, forecasts, error-history truths)`` of each configured method."""
     panel_truths = PanelTruthSelector(panel, config.truth_rule, mode="construction")
-    out: list[MethodData] = []
+    out: list[tuple[str, ForecastLookup, TruthSelector]] = []
     for label in config.methods:
         if label == "imf":
-            out.append(MethodData(label, panel.forecast, panel_truths))
+            out.append((label, panel.forecast, panel_truths))
         elif label == "ar":
             if quarterly is None:
                 raise ValueError("method 'ar' requires quarterly data")
-            out.append(
-                MethodData(label, _ar_lookup(quarterly, config), QuarterlyTruthSelector(quarterly))
-            )
+            out.append((label, _ar_lookup(quarterly, config), QuarterlyTruthSelector(quarterly)))
         elif label == "external":
             if external is None:
                 raise ValueError("method 'external' requires an external forecast file")
-            out.append(MethodData(label, external.forecast, panel_truths))
+            out.append((label, external.forecast, panel_truths))
     return out
 
 
-def _grids_of(
-    config: RunConfig, panel: ForecastPanel, method: MethodData, target: TargetId
-) -> Callable[[ReleaseDate], tuple[Optional[IntervalGrid], tuple[str, ...]]]:
-    """``origin -> (grid or None, gaps)`` for one method and target. The panel
-    keeps IMF grids, which depend only on it and five config fields; other
-    sources read inputs it lacks. One error history serves a target's origins."""
+def _grid_at(
+    config: RunConfig,
+    panel: ForecastPanel,
+    label: str,
+    history: ErrorHistory,
+    target: TargetId,
+    origin: ReleaseDate,
+) -> tuple[Optional[IntervalGrid], tuple[str, ...]]:
+    """The grid (or None) and gaps of one source at one origin. The panel keeps
+    IMF grids, which depend only on it and five config fields; other sources
+    read inputs it lacks, and no run asks for one of their grids twice."""
     key = (config.truth_rule, config.window, config.error_method, config.quantile_method, config.levels)
-    grids = panel._grids.setdefault(key, {}) if method.label == "imf" else {}
-    history: Optional[ErrorHistory] = None
-
-    def grid_at(origin: ReleaseDate) -> tuple[Optional[IntervalGrid], tuple[str, ...]]:
-        nonlocal history
-        found = grids.get((target, origin))
-        if found is None:
-            history = history or ErrorHistory(method.forecasts, method.error_truths, config.window)
-            grid, gaps = build_grid(history, target, origin, config)
-            found = grids[(target, origin)] = (grid, tuple(gaps))
-        return found
-
-    return grid_at
+    grids = panel._grids.setdefault(key, {}) if label == "imf" else {}
+    found = grids.get((target, origin))
+    if found is None:
+        grid, gaps = build_grid(history, target, origin, config)
+        found = grids[(target, origin)] = (grid, tuple(gaps))
+    return found
 
 
 def _eval_as_of(config: RunConfig, panel: ForecastPanel) -> ReleaseDate:
@@ -462,11 +442,11 @@ def run_backtest(
         for year in range(h0 - 1, h1 + 1)
         for season in (Season.SPRING, Season.FALL)
     ]
-    for method in _method_data(config, panel, quarterly, external):
+    for label, forecasts, truths in _sources(config, panel, quarterly, external):
         for target in panel.targets:
-            grid_at = _grids_of(config, panel, method, target)
+            history = ErrorHistory(forecasts, truths, config.window)
             for origin in origins:
-                grid, grid_gaps = grid_at(origin)
+                grid, grid_gaps = _grid_at(config, panel, label, history, target, origin)
                 gaps.extend(grid_gaps)
                 if grid is None:
                     continue
@@ -485,7 +465,7 @@ def run_backtest(
                     except TruthUnavailableError as exc:
                         gaps.append(str(exc))
                         continue
-                    audit.append(audit_row(grid, horizon, method.label, outcome, weights))
+                    audit.append(audit_row(grid, horizon, label, outcome, weights))
     report = evaluation_report(audit, config)
     return BacktestResult(config=config, report=report, grids=grids, audit=audit, gaps=gaps)
 
@@ -545,19 +525,20 @@ def run_tuning(
     visible. Within each (variable, horizon), scored years start once every
     requested window length is feasible, keeping cells comparable; since
     feasibility is monotone in the window, that is feasibility at the largest.
-    A scored year's errors, taken once at that window, go newest first into
-    one sorted list; each window w of an (error method, quantile method) group
-    reads its levels from the sorted first w, the set a build at w holds.
+    A scored year's errors, taken once per error method at that window, go
+    newest first into one sorted list; each (window w, quantile method) of the
+    error method reads its levels from the sorted first w, the set a build at
+    w holds.
     """
     if not grid:
         raise ValueError("tuning grid must be nonempty")
-    groups: dict[tuple[ErrorMethod, QuantileMethod], list[int]] = {}
+    groups: dict[ErrorMethod, list[tuple[int, QuantileMethod]]] = {}
     for window, emethod, qmethod in grid:
-        windows = groups.setdefault((emethod, qmethod), [])
-        if window < 1 or window in windows:
+        entries = groups.setdefault(emethod, [])
+        if window < 1 or (window, qmethod) in entries:
             problem = "must be >= 1" if window < 1 else f"listed twice with {emethod.value}, {qmethod.value}"
             raise ValueError(f"tuning window {window} {problem}")
-        windows.append(window)
+        entries.append((window, qmethod))
     t0, t1 = config.train_span
     cutoff = ReleaseDate(t1 + 1, Season.FALL)
     view = panel.until_vintage(cutoff, t1)
@@ -582,14 +563,14 @@ def run_tuning(
                     scorable[(target.variable, horizon)].append((target, year, point, outcome))
     levels, weights = config.levels, WisWeights(config.levels)
     rows: dict[tuple[int, ErrorMethod, QuantileMethod, str, Horizon], TuningRow] = {}
-    for (emethod, qmethod), windows in groups.items():
-        windows = sorted(windows)
+    for emethod, entries in groups.items():
+        entries = sorted(entries, key=lambda entry: entry[0])
         taus = offset_taus(levels, emethod)
-        tables = [index_table(w, taus, qmethod) for w in windows]
+        tables = [index_table(w, taus, qmethod) for w, qmethod in entries]
         for (variable, horizon), observations in scorable.items():
-            # Per window: each scored year's WIS, and the hits at each level.
-            wis: list[list[float]] = [[] for _ in windows]
-            hits: list[list[int]] = [[0] * len(levels) for _ in windows]
+            # Per entry: each scored year's WIS, and the hits at each level.
+            wis: list[list[float]] = [[] for _ in entries]
+            hits: list[list[int]] = [[0] * len(levels) for _ in entries]
             for target, year, point, outcome in observations:
                 try:
                     errors = history.error_set(
@@ -600,7 +581,7 @@ def run_tuning(
                 if not all(map(math.isfinite, errors)):
                     raise InvalidErrorValueError("invalid error value: samples must be finite")
                 xs: list[float] = []
-                for w, table, wis_w, hits_w in zip(windows, tables, wis, hits):
+                for (w, _), table, wis_w, hits_w in zip(entries, tables, wis, hits):
                     for error in errors[len(xs):w]:
                         insort(xs, error)
                     totals = []
@@ -612,7 +593,7 @@ def run_tuning(
                         totals.append(dispersion + over + under)
                         hits_w[k] += lower <= outcome <= upper
                     wis_w.append(wis_of_totals(totals, weights))
-            for w, wis_w, hits_w in zip(windows, wis, hits):
+            for (w, qmethod), wis_w, hits_w in zip(entries, wis, hits):
                 n = len(wis_w)
                 # The backtest's formulas: ``mean`` and a hit count over n.
                 rows[(w, emethod, qmethod, variable, horizon)] = TuningRow(
@@ -652,9 +633,10 @@ def produce_forecast(
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(FORECAST_FILE_HEADER)
     gaps: list[str] = []
-    for method in _method_data(config, panel, quarterly, external):
+    for label, forecasts, truths in _sources(config, panel, quarterly, external):
         for target in panel.targets:
-            grid, grid_gaps = _grids_of(config, panel, method, target)(origin)
+            history = ErrorHistory(forecasts, truths, config.window)
+            grid, grid_gaps = _grid_at(config, panel, label, history, target, origin)
             gaps.extend(grid_gaps)
             if grid is None:
                 continue
@@ -666,9 +648,30 @@ def produce_forecast(
                         target.country, target.variable, cell.forecast_origin.year,
                         cell.forecast_origin.season.value, cell.target_year,
                         *(format(x, ".10g") for x in (tau, pi.lower, pi.upper, pi.center)),
-                        method.label, tag,
+                        label, tag,
                     ])
     return buf.getvalue(), gaps
+
+
+def gaps_json(gaps: Iterable[str]) -> str:
+    """The text of a gaps manifest: the gaps sorted, as a JSON array."""
+    return json.dumps(sorted(gaps), indent=2) + "\n"
+
+
+def write_outputs(out_dir: str, files: Iterable[tuple[str, str | Callable[[TextIO], object]]]) -> list[str]:
+    """Write each ``(name, text or writer of the file)`` into ``out_dir``,
+    made if missing, as UTF-8 with newlines as given; returns the paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for name, content in files:
+        path = os.path.join(out_dir, name)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content)
+        paths.append(path)
+    return paths
 
 
 def write_backtest_outputs(result: BacktestResult, out_dir: str) -> list[str]:
@@ -679,17 +682,10 @@ def write_backtest_outputs(result: BacktestResult, out_dir: str) -> list[str]:
     bytes of ``json.dumps(result.audit, indent=2, sort_keys=True) + "\\n"``.
     ``run.json`` holds the run's config (``config_json``), so ``audit.json``
     and ``run.json`` together rebuild the report."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for name, write in (
-        ("report.csv", lambda fh: fh.write(result.report.to_csv())),
-        ("report.json", lambda fh: fh.write(result.report.to_json())),
+    return write_outputs(out_dir, (
+        ("report.csv", result.report.to_csv()),
+        ("report.json", result.report.to_json()),
         ("audit.json", lambda fh: write_audit(result.audit, fh)),
-        ("gaps.json", lambda fh: fh.write(json.dumps(sorted(result.gaps), indent=2) + "\n")),
-        ("run.json", lambda fh: fh.write(config_json(result.config))),
-    ):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
-        paths.append(path)
-    return paths
+        ("gaps.json", gaps_json(result.gaps)),
+        ("run.json", config_json(result.config)),
+    ))

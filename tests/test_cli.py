@@ -255,6 +255,26 @@ class TestBadInput:
         assert code == 1
         self._assert_one_line_error(capsys, key)
 
+    @pytest.mark.parametrize("key, value", [("out", 5), ("data", ["panel.csv"]), ("data", 7)])
+    def test_path_of_wrong_type_exits_one(self, panel_path, tmp_path, capsys, key, value):
+        # The flag of ``key`` would override the config value, so it is left out.
+        paths = {"data": panel_path, "out": str(tmp_path / "out")}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        flags = [arg for name, path in paths.items() if name != key for arg in (f"--{name}", path)]
+        code = main(["backtest", "--config", str(config), *flags])
+        assert code == 1
+        self._assert_one_line_error(capsys, f"{key} must be str")
+
+    def test_generated_at_of_wrong_type_exits_one(self, panel_path, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"generated_at": ["x"]}))
+        code = main(["forecast", "--config", str(config), "--data", panel_path,
+                     "--out", str(tmp_path / "out"), "--origin-year", "2023", "--origin-season", "F"])
+        assert code == 1
+        self._assert_one_line_error(capsys, "generated_at must be str or None")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("content", ["", "{\"window\": 8,}", "\xff"])
     def test_malformed_config_json_names_the_file(self, panel_path, tmp_path, capsys, content):
         config = tmp_path / "config.json"

@@ -430,6 +430,20 @@ class TestRunTuning:
                 assert abs(cvg - expected[tau]) < 0.15
             assert abs(np.mean(values) - expected[tau]) < 0.08
 
+    def test_each_error_set_is_built_once(self, monkeypatch):
+        # Both quantile methods of an error method read the same sets.
+        keys = []
+        build = pipeline.build_error_set
+
+        def counted(points, truths, target, horizon, **kw):
+            keys.append((target, horizon, kw["anchor_year"], kw["origin"], kw["method"]))
+            return build(points, truths, target, horizon, **kw)
+
+        monkeypatch.setattr(pipeline, "build_error_set", counted)
+        grid = [(w, em, qm) for w in (4, 11) for em in ErrorMethod for qm in QuantileMethod]
+        run_tuning(RunConfig(), backtest_panel(2), grid)
+        assert keys and len(keys) == len(set(keys))
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             run_tuning(RunConfig(), backtest_panel(2), [])
@@ -552,6 +566,26 @@ class TestGridMemo:
         assert calls == []
         assert reused == produce_forecast(self.BASE, self.fresh(panel), self.ORIGIN)
         assert len(calls) == 4  # one grid per target on the fresh panel
+
+    def test_backtest_builds_each_grid_once(self, monkeypatch):
+        panel = self.panel()
+        config = replace(self.BASE, methods=("imf", "ar"))
+        calls = []
+        build = pipeline.build_grid
+
+        def counted(history, target, origin, config):
+            method = "imf" if history.forecasts == panel.forecast else "ar"
+            calls.append((method, target, origin))
+            return build(history, target, origin, config)
+
+        monkeypatch.setattr(pipeline, "build_grid", counted)
+        run_backtest(config, panel, quarterly=ar_quarterly(panel.targets, seed=9))
+        h0, h1 = config.holdout_span
+        assert sorted(calls, key=repr) == sorted((
+            (method, target, ReleaseDate(year, season))
+            for method in ("imf", "ar") for target in panel.targets
+            for year in range(h0 - 1, h1 + 1) for season in Season
+        ), key=repr)
 
     @pytest.mark.parametrize("change", [
         {"window": 8},
