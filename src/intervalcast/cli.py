@@ -68,7 +68,7 @@ def _config_from_args(args: argparse.Namespace, config_path: Optional[str] = Non
 
 def _load_panel(path: Optional[str]) -> ForecastPanel:
     if not path:
-        raise SystemExit("error: --data (or config 'data') is required")
+        raise ValueError("--data (or config 'data') is required")
     with open(path, encoding="utf-8", newline="") as fh:
         return parse_forecast_panel(fh, source=path)
 

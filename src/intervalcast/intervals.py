@@ -93,41 +93,35 @@ def offsets_for(
     return dict(zip(levels, map(IntervalOffsets, *level_rows(errs, levels, method))))
 
 
-def interval_from_offsets(point: float, tau: float, offs: IntervalOffsets) -> PredictionInterval:
-    lower = point + offs.lower
-    upper = point + offs.upper
-    return PredictionInterval(
-        level=tau,
-        lower=lower,
-        upper=upper,
-        center=point,
-        degenerate=lower == upper,
-        excludes_center=not (lower <= point <= upper),
-    )
-
-
 @dataclass(frozen=True)
 class GridCell:
-    """One horizon of an interval grid: the point forecast and its offsets."""
+    """One horizon of an interval grid: the point forecast and its lower and
+    upper offsets, one per level in the grid's level order."""
 
     point: float
     target_year: int
     forecast_origin: ReleaseDate
-    offsets: Mapping[float, IntervalOffsets]
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
     source_years: tuple[int, ...] = ()
     skipped_years: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:  # a panel shares its grids between runs
-        object.__setattr__(self, "offsets", MappingProxyType(dict(self.offsets)))
-
-    def interval(self, tau: float) -> PredictionInterval:
-        return interval_from_offsets(self.point, tau, self.offsets[tau])
+        lower, upper = tuple(self.lower), tuple(self.upper)
+        if len(lower) != len(upper):
+            raise ValueError(f"{len(lower)} lower offsets but {len(upper)} upper")
+        for lo, up in zip(lower, upper):
+            if lo > up:
+                raise ValueError(f"lower offset {lo} exceeds upper {up}")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
 @dataclass(frozen=True)
 class IntervalGrid:
     """Interval offsets for (a subset of) the four horizons at one origin.
 
+    Each cell holds one offset per level of ``levels``, in that order.
     ``blocks`` records the pooled-block sizes after the monotonicity
     correction (None before correction). ``cells`` is a read-only copy.
     """
@@ -135,19 +129,18 @@ class IntervalGrid:
     target: TargetId
     origin: ReleaseDate
     cells: Mapping[Horizon, GridCell]
+    levels: tuple[float, ...]
     blocks: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
+        object.__setattr__(self, "levels", tuple(self.levels))
+        if any(len(cell.lower) != len(self.levels) for cell in self.cells.values()):
+            raise ValueError(f"every cell needs one offset per level of {self.levels}")
 
     @property
     def horizons(self) -> tuple[Horizon, ...]:
         return tuple(h for h in HORIZONS if h in self.cells)
-
-    @property
-    def levels(self) -> tuple[float, ...]:
-        first = self.cells[self.horizons[0]]
-        return tuple(sorted(first.offsets))
 
 
 def _block_mean(rows: Sequence[Sequence[float]], members: list[int]) -> list[float]:
@@ -196,13 +189,10 @@ def enforce_horizon_monotonicity(grid: IntervalGrid) -> IntervalGrid:
     horizons = grid.horizons
     if len(horizons) <= 1:
         return replace(grid, blocks=tuple([1] * len(horizons)))
-    levels, cells = grid.levels, [grid.cells[h] for h in horizons]
-    lowers, uppers, blocks = pool_level_rows(
-        [[cell.offsets[tau].lower for tau in levels] for cell in cells],
-        [[cell.offsets[tau].upper for tau in levels] for cell in cells],
-    )
+    cells = [grid.cells[h] for h in horizons]
+    lowers, uppers, blocks = pool_level_rows([cell.lower for cell in cells], [cell.upper for cell in cells])
     new_cells = {
-        h: replace(cell, offsets=dict(zip(levels, map(IntervalOffsets, lo, up))))
+        h: replace(cell, lower=lo, upper=up)
         for h, cell, lo, up in zip(horizons, cells, lowers, uppers)
     }
-    return IntervalGrid(target=grid.target, origin=grid.origin, cells=new_cells, blocks=blocks)
+    return replace(grid, cells=new_cells, blocks=blocks)

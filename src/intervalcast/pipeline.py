@@ -59,7 +59,6 @@ from intervalcast.ingest import (
 from intervalcast.intervals import (
     GridCell,
     IntervalGrid,
-    IntervalOffsets,
     enforce_horizon_monotonicity,  # noqa: F401  (looked up here by the benchmark's tracer)
     level_rows,
     offset_rows,
@@ -112,11 +111,16 @@ class RunConfig:
             value = getattr(self, name)
             if not (isinstance(value, kind) and not isinstance(value, bool) or optional and value is None):
                 raise ValueError(f"{name} must be {kind.__name__}{' or None' * optional}, got {value!r}")
-        for name in ("train_span", "holdout_span"):
-            span = getattr(self, name)
-            if not (isinstance(span, tuple) and len(span) == 2
-                    and all(isinstance(year, int) and not isinstance(year, bool) for year in span)):
-                raise ValueError(f"{name} must be a pair of integer years, got {span!r}")
+        for name, kind, size in (("train_span", int, 2), ("holdout_span", int, 2), ("levels", float, None),
+                                 ("methods", str, None), ("exclude", tuple, None)):
+            value = getattr(self, name)
+            if not (isinstance(value, tuple) and (size is None or len(value) == size)
+                    and all(isinstance(v, kind) and not isinstance(v, bool) for v in value)):
+                raise ValueError(f"{name} must be a {'pair' if size else 'tuple'} of {kind.__name__}, got {value!r}")
+        for entry in self.exclude:
+            if not (len(entry) == 3 and isinstance(entry[0], str) and entry[0]
+                    and all(type(year) is int for year in entry[1:]) and entry[1] <= entry[2]):
+                raise ValueError(f"exclude entry {entry!r} must be (country, first year, last year), first <= last")
         validate_levels(self.levels)
         if self.window < 1:
             raise ValueError("window length must be >= 1")
@@ -173,32 +177,33 @@ def load_config(path: Optional[str] = None, **overrides: object) -> RunConfig:
             kwargs[key] = _config_value(key, value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad config value for {key}: {exc}") from None
-    return RunConfig(**kwargs)  # type: ignore[arg-type]
+    try:
+        return RunConfig(**kwargs)  # type: ignore[arg-type]
+    except ValueError as exc:  # each check names its key
+        raise ValueError(f"bad config value: {exc}") from None
+
+
+# The parser of each key whose value a flag or a JSON string gives as text.
+_TEXT_PARSERS: dict[str, Callable[[str], object]] = {
+    "error_method": ErrorMethod.parse, "quantile_method": QuantileMethod.parse, "train_span": parse_span,
+    "holdout_span": parse_span, "eval_as_of": ReleaseDate.parse, "truth_rule": FallbackRule,
+    "window": int, "ar_min_obs": int, "ar_window": int,
+}
 
 
 def _config_value(key: str, value: object) -> object:
-    """The ``RunConfig`` value of one config key, from JSON or a flag."""
+    """The ``RunConfig`` value of one config key, from JSON or a flag. Only
+    text is parsed and arrays become tuples; any other value reaches
+    ``RunConfig``'s type checks as given."""
     if key in ("levels", "methods", "exclude") and isinstance(value, str):
         value = [v for v in value.split(",") if v]
-    if key == "levels":
-        return tuple(float(v) for v in value)  # type: ignore[union-attr]
-    if key == "error_method":
-        return value if isinstance(value, ErrorMethod) else ErrorMethod.parse(str(value))
-    if key == "quantile_method":
-        return value if isinstance(value, QuantileMethod) else QuantileMethod.parse(str(value))
-    if key in ("train_span", "holdout_span"):
-        return parse_span(value) if isinstance(value, str) else tuple(value)  # type: ignore[arg-type]
-    if key == "methods":
-        return tuple(value)  # type: ignore[arg-type]
-    if key == "exclude":
-        return parse_exclusions(value)  # type: ignore[arg-type]
-    if key == "eval_as_of" and value is not None and not isinstance(value, ReleaseDate):
-        return ReleaseDate.parse(value)  # type: ignore[arg-type]
-    if key == "truth_rule":
-        return FallbackRule(value)
-    if key in ("window", "ar_min_obs") or (key == "ar_window" and value is not None):
-        return int(value)  # type: ignore[arg-type]
-    return value
+    if isinstance(value, list):
+        value = tuple(value)
+    if key == "levels" and isinstance(value, tuple):
+        return tuple(float(v) if isinstance(v, str) else v for v in value)
+    if key == "exclude" and isinstance(value, tuple):
+        return parse_exclusions(value)
+    return _TEXT_PARSERS[key](value) if isinstance(value, str) and key in _TEXT_PARSERS else value
 
 
 def config_json(config: RunConfig) -> str:
@@ -285,7 +290,7 @@ def build_grid(
     config: RunConfig,
 ) -> tuple[Optional[IntervalGrid], list[str]]:
     """Assemble the pooled interval grid at one origin; gaps are reported, not
-    fatal. Offsets are read and pooled as level rows, then built once."""
+    fatal. Offsets are read and pooled as level rows, which the cells keep."""
     found: list[tuple[Horizon, float, int, ReleaseDate, ErrorSet]] = []
     gaps: list[str] = []
     # ``outstanding_cells`` lists the horizons in order, as pooling needs.
@@ -314,14 +319,15 @@ def build_grid(
             point=point,
             target_year=target_year,
             forecast_origin=forecast_origin,
-            offsets=dict(zip(config.levels, map(IntervalOffsets, lower, upper))),
+            lower=lower,
+            upper=upper,
             source_years=errs.source_years,
             skipped_years=errs.skipped_years,
         )
         for (horizon, point, target_year, forecast_origin, errs), lower, upper
         in zip(found, lowers, uppers)
     }
-    return IntervalGrid(target=target, origin=origin, cells=cells, blocks=blocks), gaps
+    return IntervalGrid(target=target, origin=origin, cells=cells, levels=config.levels, blocks=blocks), gaps
 
 
 def _ar_lookup(
@@ -642,12 +648,12 @@ def produce_forecast(
                 continue
             for horizon in grid.horizons:
                 cell = grid.cells[horizon]
-                for tau in config.levels:
-                    pi = cell.interval(tau)
+                point = cell.point
+                for tau, lo, up in zip(grid.levels, cell.lower, cell.upper):
                     writer.writerow([
                         target.country, target.variable, cell.forecast_origin.year,
                         cell.forecast_origin.season.value, cell.target_year,
-                        *(format(x, ".10g") for x in (tau, pi.lower, pi.upper, pi.center)),
+                        *(format(x, ".10g") for x in (tau, point + lo, point + up, point)),
                         label, tag,
                     ])
     return buf.getvalue(), gaps

@@ -286,17 +286,18 @@ def audit_row(
 ) -> dict[str, object]:
     """The audit row of ``grid``'s ``horizon`` forecast, scored against
     ``outcome`` at each of ``weights``' levels: the backtest's one scored
-    record. Each interval is the point plus its offsets, flagged as
-    ``interval_from_offsets`` flags it, and each score's total is the sum of
-    its parts."""
+    record. Each interval is the point plus its offsets, flagged
+    ``degenerate`` when its ends meet and ``excludes_center`` when the point
+    lies outside, and each score's total is the sum of its parts."""
+    if grid.levels != weights.levels:
+        raise ValueError(f"grid levels {grid.levels} differ from the scored levels {weights.levels}")
     cell = grid.cells[horizon]
     point = cell.point
     intervals: dict[str, dict[str, object]] = {}
     scores: dict[str, dict[str, float]] = {}
     totals: list[float] = []
-    for tau, key in zip(weights.levels, weights.keys):
-        offsets = cell.offsets[tau]
-        lower, upper = point + offsets.lower, point + offsets.upper
+    for tau, key, lo, up in zip(weights.levels, weights.keys, cell.lower, cell.upper):
+        lower, upper = point + lo, point + up
         dispersion, over, under = score_parts(lower, upper, outcome, tau)
         totals.append(total := dispersion + over + under)
         intervals[key] = {

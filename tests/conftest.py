@@ -10,7 +10,7 @@ from hypothesis import settings
 
 from intervalcast.domain import HORIZONS, ReleaseDate, Season, TargetId
 from intervalcast.ingest import ForecastPanel
-from intervalcast.intervals import pool_level_rows
+from intervalcast.intervals import PredictionInterval, pool_level_rows
 
 DEFAULT_SIGMAS = {h: 0.5 + 0.25 * h.index for h in HORIZONS}
 
@@ -77,6 +77,22 @@ def without(panel, forecasts=(), realizations=()) -> ForecastPanel:
         {k: v for k, v in panel.realizations.items() if k not in realizations},
         source=panel.source,
         skipped=panel.skipped,
+    )
+
+
+def interval_from_offsets(point, tau, offs) -> PredictionInterval:
+    """The interval ``point`` plus ``offs`` at level ``tau``, flagged as the
+    audit row flags it: degenerate when its ends meet, excludes_center when
+    the point lies outside."""
+    lower = point + offs.lower
+    upper = point + offs.upper
+    return PredictionInterval(
+        level=tau,
+        lower=lower,
+        upper=upper,
+        center=point,
+        degenerate=lower == upper,
+        excludes_center=not (lower <= point <= upper),
     )
 
 

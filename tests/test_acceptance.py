@@ -233,9 +233,9 @@ def test_criterion_5_synthetic_calibration():
     coverage = {tau: float(np.mean(v)) for tau, v in per_level.items()}
     lengths_ok = all(
         all(
-            grid.cells[a].interval(tau).length <= grid.cells[b].interval(tau).length + 1e-12
+            grid.cells[a].upper[k] - grid.cells[a].lower[k] <= grid.cells[b].upper[k] - grid.cells[b].lower[k] + 1e-12
             for a, b in zip(grid.horizons, grid.horizons[1:])
-            for tau in config.levels
+            for k in range(len(config.levels))
         )
         for grid in result.grids
     )

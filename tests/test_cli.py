@@ -1,14 +1,19 @@
 import csv
 import io
 import json
+import math
+import os
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intervalcast.cli import main
 from intervalcast.domain import ReleaseDate, Season, TargetId
+from intervalcast.pipeline import RunConfig
 
 from conftest import make_panel, without
 
@@ -243,6 +248,31 @@ class TestBadInput:
         assert code == 1
         self._assert_one_line_error(capsys, "bad config value", key)
 
+    @pytest.mark.parametrize("text, fragment", [
+        # Converted before the type checks: these ran with window 1, window 2,
+        # ar_min_obs 0 and methods ("imf",), and 1e400 ended in an OverflowError.
+        ('{"window": true}', "window must be int, got True"),
+        ('{"window": 2.7}', "window must be int, got 2.7"),
+        ('{"ar_min_obs": false}', "ar_min_obs must be int, got False"),
+        ('{"window": 1e400}', "window must be int, got inf"),
+        ('{"methods": {"imf": 1}}', "methods must be a tuple of str, got {'imf': 1}"),
+        ('{"levels": [0.5, 1]}', "levels must be a tuple of float"),
+    ])
+    def test_config_value_of_wrong_type_is_not_converted(self, panel_path, tmp_path, capsys, text, fragment):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code = main(["backtest", "--config", str(config), "--data", panel_path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        self._assert_one_line_error(capsys, "bad config value", fragment)
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_data_path_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"data": ""}')
+        assert main(["backtest", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        self._assert_one_line_error(capsys, "--data (or config 'data') is required")
+
     @pytest.mark.parametrize("key, value", [
         ("train_span", ["a", "b"]), ("holdout_span", [2013.5, 2023]), ("train_span", [1990, 2012, 5]),
         ("holdout_span", [True, 2023]),
@@ -429,3 +459,70 @@ def test_report_on_an_audit_with_one_field_changed_exits_cleanly(backtest_out, d
     else:
         assert err.getvalue() == ""
         assert out.getvalue().startswith("country,variable,horizon,method,mean_wis,n\n")
+
+
+@pytest.fixture(scope="module")
+def fuzz_backtest(tmp_path_factory):
+    """A working directory two levels down, and a backtest config that sets
+    every config key to a working value (three methods, external and AR
+    included)."""
+    root = tmp_path_factory.mktemp("config_fuzz")
+    (root / "panel.csv").write_text(make_panel(countries=("AAA",), first_year=1995, last_year=2021).to_canonical_csv())
+    rng = np.random.default_rng(0)
+    quarters = [f"AAA,gdp,{year},{q},{rng.normal(0.5, 0.4):.4f}" for year in range(1960, 2022) for q in range(1, 5)]
+    (root / "quarterly.csv").write_text("\n".join(["country,variable,year,quarter,value", *quarters]) + "\n")
+    cwd = root / "run" / "here"
+    cwd.mkdir(parents=True)
+    config = {
+        "data": str(root / "panel.csv"), "quarterly_data": str(root / "quarterly.csv"),
+        "external_forecasts": str(root / "panel.csv"), "out": "out", "levels": [0.5, 0.8],
+        "error_method": "directional", "quantile_method": "type1", "window": 6,
+        "train_span": "1995-2012", "holdout_span": [2019, 2021], "methods": "imf,ar,external",
+        "exclude": ["AAA:2020"], "truth_rule": "latest-available-release", "eval_as_of": "2022F",
+        "ar_min_obs": 12, "ar_window": 40, "generated_at": "tag",
+    }
+    assert set(config) == {f.name for f in fields(RunConfig)}
+    return cwd, config
+
+
+# Text holds no path separator: an ``out`` of ".." stays inside the fixture's root.
+config_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 30), st.sampled_from([10**30, -(10**400)]),
+    st.sampled_from([math.inf, -math.inf]), st.floats(),
+    st.sampled_from(["", "imf,ar", "0.5,0.9", "1990-2012", "2013-2013", "AAA:2020-2021", "2022S",
+                     "type7", "absolute", "none", "12", "1e400", "nan"]),
+    st.text(st.characters(blacklist_characters="/\\"), max_size=6),
+    st.lists(st.one_of(st.integers(-3, 2030), st.floats(), st.text(max_size=3), st.booleans(), st.none()),
+             max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_backtest_with_one_config_value_changed_exits_cleanly(fuzz_backtest, data):
+    """One config key set to each JSON type (infinities written as +-1e400), or
+    a top level that is not an object: ``backtest`` exits 0, or 2 with a
+    non-empty gaps manifest, with nothing on stderr, or 1 with one ``error:``
+    line."""
+    cwd, base = fuzz_backtest
+    key = data.draw(st.sampled_from([*sorted(base), None]), label="key (None: the top level)")
+    value = data.draw(config_values if key else config_values.filter(lambda v: not isinstance(v, dict)),
+                      label="value")
+    config = cwd / "config.json"
+    config.write_text(json.dumps({**base, key: value} if key else value).replace("Infinity", "1e400"))
+    out, err = io.StringIO(), io.StringIO()
+    previous = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["backtest", "--config", str(config)])
+    finally:
+        os.chdir(previous)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == "" and out.getvalue().startswith("backtest: ")
+    if code == 2:
+        assert json.loads((cwd / (value if key == "out" else base["out"]) / "gaps.json").read_text())

@@ -32,7 +32,7 @@ from intervalcast.ingest import (
     TruthUnavailableError,
     select_truth,
 )
-from intervalcast.intervals import GridCell, IntervalGrid, IntervalOffsets, interval_from_offsets
+from intervalcast.intervals import GridCell, IntervalGrid, IntervalOffsets
 from intervalcast.pipeline import (
     ErrorHistory,
     RunConfig,
@@ -54,7 +54,7 @@ from intervalcast.scoring import (
     weighted_interval_score,
 )
 
-from conftest import make_panel, tuning_cell, without
+from conftest import interval_from_offsets, make_panel, tuning_cell, without
 from test_intervals import rescanning_pool
 
 TARGET = TargetId("AAA", "gdp")
@@ -570,34 +570,33 @@ def parent_build_grid(history, target, origin, config):
         except InsufficientHistoryError as exc:
             gaps.append(f"{target.country}/{target.variable} {origin} {horizon.label}: {exc}")
             continue
+        offsets = [scalar_offsets(errs, tau, config.quantile_method) for tau in config.levels]
         cells[horizon] = GridCell(
             point=point, target_year=target_year, forecast_origin=forecast_origin,
-            offsets={tau: scalar_offsets(errs, tau, config.quantile_method) for tau in config.levels},
+            lower=[offs.lower for offs in offsets], upper=[offs.upper for offs in offsets],
             source_years=errs.source_years, skipped_years=errs.skipped_years,
         )
     if not cells:
         return None, gaps
     horizons = [h for h in HORIZONS if h in cells]
     if len(horizons) == 1:
-        return IntervalGrid(target=target, origin=origin, cells=cells, blocks=(1,)), gaps
+        return IntervalGrid(target=target, origin=origin, cells=cells, levels=config.levels, blocks=(1,)), gaps
     corrected, blocks = rescanning_pool({
-        tau: ([cells[h].offsets[tau].lower for h in horizons],
-              [cells[h].offsets[tau].upper for h in horizons])
-        for tau in config.levels
+        tau: ([cells[h].lower[k] for h in horizons],
+              [cells[h].upper[k] for h in horizons])
+        for k, tau in enumerate(config.levels)
     })
     pooled = {
         h: GridCell(
             point=cells[h].point, target_year=cells[h].target_year,
             forecast_origin=cells[h].forecast_origin,
-            offsets={
-                tau: IntervalOffsets(corrected[tau][0][i], corrected[tau][1][i])
-                for tau in config.levels
-            },
+            lower=[corrected[tau][0][i] for tau in config.levels],
+            upper=[corrected[tau][1][i] for tau in config.levels],
             source_years=cells[h].source_years, skipped_years=cells[h].skipped_years,
         )
         for i, h in enumerate(horizons)
     }
-    return IntervalGrid(target=target, origin=origin, cells=pooled, blocks=blocks), gaps
+    return IntervalGrid(target=target, origin=origin, cells=pooled, levels=config.levels, blocks=blocks), gaps
 
 
 def _backtest_files(config, panel, quarterly, out_dir):

@@ -10,13 +10,12 @@ from intervalcast.intervals import (
     IntervalGrid,
     IntervalOffsets,
     enforce_horizon_monotonicity,
-    interval_from_offsets,
     offsets_for,
     pool_level_rows,
 )
 from intervalcast.quantile import QuantileMethod, empirical_quantile
 
-from conftest import pool_adjacent_horizons
+from conftest import interval_from_offsets, pool_adjacent_horizons
 
 TARGET = TargetId("AAA", "gdp")
 
@@ -326,17 +325,16 @@ def test_rescan_and_stack_forms_agree(symmetric, rng):
 def make_grid(uppers_by_horizon_level, points=None):
     cells = {}
     for i, h in enumerate(HORIZONS):
-        offsets = {
-            tau: IntervalOffsets(-ups[i], ups[i])
-            for tau, ups in uppers_by_horizon_level.items()
-        }
+        uppers = [ups[i] for ups in uppers_by_horizon_level.values()]
         cells[h] = GridCell(
             point=(points or {}).get(h, 1.0),
             target_year=2020 + h.year_offset,
             forecast_origin=h.origin_for(2020 + h.year_offset),
-            offsets=offsets,
+            lower=[-up for up in uppers],
+            upper=uppers,
         )
-    return IntervalGrid(target=TARGET, origin=ReleaseDate(2020, Season.FALL), cells=cells)
+    return IntervalGrid(target=TARGET, origin=ReleaseDate(2020, Season.FALL), cells=cells,
+                        levels=tuple(uppers_by_horizon_level))
 
 
 class TestEnforceHorizonMonotonicity:
@@ -344,7 +342,7 @@ class TestEnforceHorizonMonotonicity:
         grid = make_grid({0.5: [2.0, 5.0, 4.0, 6.0]},
                          points={h: 10.0 + h.index for h in HORIZONS})
         fixed = enforce_horizon_monotonicity(grid)
-        uppers = [fixed.cells[h].offsets[0.5].upper for h in HORIZONS]
+        uppers = [fixed.cells[h].upper[0] for h in HORIZONS]
         assert uppers == [2.0, 4.5, 4.5, 6.0]
         assert [fixed.cells[h].point for h in HORIZONS] == [10.0, 11.0, 12.0, 13.0]
         assert fixed.blocks == (1, 2, 1)
@@ -354,8 +352,7 @@ class TestEnforceHorizonMonotonicity:
         once = enforce_horizon_monotonicity(grid)
         twice = enforce_horizon_monotonicity(once)
         for h in HORIZONS:
-            for tau in (0.5, 0.8):
-                assert twice.cells[h].offsets[tau] == once.cells[h].offsets[tau]
+            assert (twice.cells[h].lower, twice.cells[h].upper) == (once.cells[h].lower, once.cells[h].upper)
 
     def test_interval_lengths_nondecreasing_after_correction(self, rng):
         for _ in range(100):
@@ -365,13 +362,44 @@ class TestEnforceHorizonMonotonicity:
             }
             uppers[0.8] = [u + abs(rng.normal()) for u in uppers[0.5]]
             fixed = enforce_horizon_monotonicity(make_grid(uppers))
-            for tau in (0.5, 0.8):
-                lengths = [fixed.cells[h].interval(tau).length for h in HORIZONS]
+            for k in range(2):
+                lengths = [fixed.cells[h].upper[k] - fixed.cells[h].lower[k] for h in HORIZONS]
                 assert all(a <= b + 1e-12 for a, b in zip(lengths, lengths[1:]))
 
     def test_partial_grid_supported(self):
         grid = make_grid({0.5: [2.0, 5.0, 4.0, 6.0]})
         cells = {h: grid.cells[h] for h in (Horizon.FALL_CURRENT, Horizon.FALL_NEXT)}
-        partial = IntervalGrid(target=grid.target, origin=grid.origin, cells=cells)
+        partial = IntervalGrid(target=grid.target, origin=grid.origin, cells=cells, levels=grid.levels)
         fixed = enforce_horizon_monotonicity(partial)
         assert fixed.horizons == (Horizon.FALL_CURRENT, Horizon.FALL_NEXT)
+
+
+class TestGridRows:
+    CELL = dict(point=1.0, target_year=2020, forecast_origin=ReleaseDate(2020, Season.FALL))
+
+    def test_rows_are_stored_as_tuples(self):
+        cell = GridCell(**self.CELL, lower=[-1.0, -2.0], upper=[1.0, 2.0])
+        assert (cell.lower, cell.upper) == ((-1.0, -2.0), (1.0, 2.0))
+        with pytest.raises(TypeError):
+            cell.upper[0] = 5.0
+
+    def test_inverted_offsets_rejected(self):
+        with pytest.raises(ValueError, match="lower offset 0.5 exceeds upper 0.25"):
+            GridCell(**self.CELL, lower=(-1.0, 0.5), upper=(1.0, 0.25))
+
+    def test_rows_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="2 lower offsets but 1 upper"):
+            GridCell(**self.CELL, lower=(-1.0, -2.0), upper=(1.0,))
+
+    def test_grid_needs_one_offset_per_level(self):
+        cell = GridCell(**self.CELL, lower=(-1.0,), upper=(1.0,))
+        grid = IntervalGrid(TARGET, ReleaseDate(2020, Season.FALL), {Horizon.FALL_CURRENT: cell}, [0.5])
+        assert grid.levels == (0.5,)
+        with pytest.raises(ValueError, match="one offset per level"):
+            IntervalGrid(TARGET, ReleaseDate(2020, Season.FALL), {Horizon.FALL_CURRENT: cell}, (0.5, 0.8))
+
+    def test_pooling_keeps_the_levels(self):
+        grid = make_grid({0.5: [2.0, 5.0, 4.0, 6.0], 0.8: [3.0, 6.0, 5.0, 7.0]})
+        fixed = enforce_horizon_monotonicity(grid)
+        assert fixed.levels == grid.levels == (0.5, 0.8)
+        assert [fixed.cells[h].upper for h in HORIZONS] == [(2.0, 3.0), (4.5, 5.5), (4.5, 5.5), (6.0, 7.0)]

@@ -4,13 +4,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intervalcast import benchmark, pipeline
 from intervalcast.benchmark import QuarterlySeries
 from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, Season, TargetId, horizon_of
 from intervalcast.errorsets import ErrorMethod
 from intervalcast.ingest import FallbackRule, ForecastPanel, PanelTruthSelector
-from intervalcast.intervals import IntervalOffsets
 from intervalcast.pipeline import (
     ErrorHistory,
     RunConfig,
@@ -127,6 +128,29 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be "):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, fragment", [
+        # A list of levels built, then failed in run_backtest as an unhashable memo key.
+        ("levels", [0.5, 0.8], "levels must be a tuple of float"),
+        ("levels", (0.5, 1), "levels must be a tuple of float"),
+        ("levels", (0.5, True), "levels must be a tuple of float"),
+        # A string of methods was read letter by letter: "unknown method 'i'".
+        ("methods", "imf", "methods must be a tuple of str"),
+        ("methods", ("imf", 1), "methods must be a tuple of str"),
+        ("exclude", [("AAA", 2015, 2016)], "exclude must be a tuple of tuple"),
+        ("exclude", ("AAA:2015-2016",), "exclude must be a tuple of tuple"),
+        # A year of the wrong type built, then failed inside aggregate_report.
+        ("exclude", (("AAA", "x", 2),), "exclude entry"),
+        ("exclude", (("AAA", 2015, True),), "exclude entry"),
+        ("exclude", (("", 2015, 2016),), "exclude entry"),
+        ("exclude", ((5, 2015, 2016),), "exclude entry"),
+        ("exclude", (("AAA", 2015),), "exclude entry"),
+        ("exclude", (("AAA", 2016, 2015),), "first <= last"),
+    ])
+    def test_collection_values_checked_by_name(self, field, value, fragment):
+        with pytest.raises(ValueError, match=f"^{field}") as exc:
+            RunConfig(**{field: value})
+        assert fragment in str(exc.value)
+
     def test_load_config_rejects_unknown_keys_by_name(self):
         with pytest.raises(ValueError, match="unknown config key.*quantile, windw"):
             load_config(None, windw=9, quantile="type1")
@@ -178,8 +202,8 @@ class TestBuildGrid:
         grid, gaps = build_grid(history, TARGET, ReleaseDate(2020, Season.FALL), config)
         assert gaps == []
         assert grid.horizons == HORIZONS
-        for tau in config.levels:
-            lengths = [grid.cells[h].interval(tau).length for h in HORIZONS]
+        for k in range(len(config.levels)):
+            lengths = [grid.cells[h].upper[k] - grid.cells[h].lower[k] for h in HORIZONS]
             assert all(a <= b + 1e-12 for a, b in zip(lengths, lengths[1:]))
 
     def test_missing_forecast_becomes_gap(self, small_panel):
@@ -207,8 +231,7 @@ class TestBuildGrid:
         history = ErrorHistory(panel.forecast, PanelTruthSelector(panel), config.window)
         grid, _ = build_grid(history, TARGET, origin, config)
         assert grid.blocks == (1, 1, 1, 1)
-        assert {repr(cell.offsets[tau].lower) for cell in grid.cells.values()
-                for tau in config.levels} == {"0.0"}
+        assert {repr(lo) for cell in grid.cells.values() for lo in cell.lower} == {"0.0"}
         panel = without(panel, forecasts=[
             (TARGET, forecast_origin, year)
             for horizon, (forecast_origin, year) in outstanding_cells(origin).items()
@@ -217,7 +240,7 @@ class TestBuildGrid:
         history = ErrorHistory(panel.forecast, PanelTruthSelector(panel), config.window)
         grid, _ = build_grid(history, TARGET, origin, config)
         assert grid.blocks == (1,)
-        assert {repr(offs.lower) for offs in grid.cells[Horizon.FALL_CURRENT].offsets.values()} == {"-0.0"}
+        assert {repr(lo) for lo in grid.cells[Horizon.FALL_CURRENT].lower} == {"-0.0"}
 
 
 def ar_quarterly(targets, seed):
@@ -287,8 +310,8 @@ class TestRunBacktest:
         result = run_backtest(config, panel)
         assert result.grids
         for grid in result.grids:
-            for tau in config.levels:
-                lengths = [grid.cells[h].interval(tau).length for h in grid.horizons]
+            for k in range(len(config.levels)):
+                lengths = [grid.cells[h].upper[k] - grid.cells[h].lower[k] for h in grid.horizons]
                 assert all(a <= b + 1e-12 for a, b in zip(lengths, lengths[1:]))
 
     def test_exclusions_remove_country_cells(self):
@@ -536,6 +559,56 @@ class TestProduceForecast:
         assert gaps
 
 
+@st.composite
+def later_inputs(draw):
+    """A panel seed, an origin, which kinds of data dated after it to add
+    (moved by a shift), the recent years whose fall release is withheld, so
+    their truth falls back to the latest vintage, and the error method."""
+    origin = ReleaseDate(draw(st.integers(2003, 2022)), draw(st.sampled_from(list(Season))))
+    kinds = draw(st.sets(st.sampled_from(["forecasts", "vintages", "quarters"]), min_size=1))
+    unreleased = {origin.year - k for k in draw(st.sets(st.integers(1, 8), min_size=1, max_size=3))}
+    return (draw(st.integers(0, 2**16)), origin, kinds, draw(st.sampled_from([-3.0, 0.5, 2.0])),
+            unreleased, draw(st.sampled_from(list(ErrorMethod))))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(later_inputs())
+def test_forecast_reads_nothing_dated_after_its_origin(case):
+    """Forecasts issued after the origin, vintages dated after it (later
+    revisions of past years included) and quarters after its cutoff quarter
+    leave the IMF and AR forecast file and its gaps as they are."""
+    seed, origin, kinds, shift, unreleased, error_method = case
+    panel = without(make_panel(countries=("AAA",), seed=seed), realizations=[
+        (TARGET, year, ReleaseDate(year + 1, Season.FALL)) for year in unreleased
+    ])
+    quarterly = ar_quarterly(panel.targets, seed)[TARGET].growth
+    cutoff = (origin.year, 1 if origin.season is Season.SPRING else 3)  # Q1 in spring, Q3 in fall
+    forecasts = {k: v for k, v in panel.forecasts.items() if k[1] <= origin}
+    realizations = {k: v for k, v in panel.realizations.items() if k[2] <= origin}
+    quarters = {q: x for q, x in quarterly.items() if q <= cutoff}
+    later_forecasts, later_realizations, later_quarters = {}, {}, {}
+    if "forecasts" in kinds:
+        later_forecasts = {k: v + shift for k, v in panel.forecasts.items() if k[1] > origin}
+    if "vintages" in kinds:
+        later_realizations = {k: v + shift for k, v in panel.realizations.items() if k[2] > origin}
+        # Revisions of every past year at the next two releases.
+        for vintage in (ReleaseDate(origin.year, Season.FALL), ReleaseDate(origin.year + 1, Season.SPRING)):
+            for year in range(1990, origin.year) if vintage > origin else ():
+                truth = panel.realizations[(TARGET, year, ReleaseDate(year + 1, Season.SPRING))]
+                later_realizations[(TARGET, year, vintage)] = truth + shift
+    if "quarters" in kinds:
+        later_quarters = {q: x + shift for q, x in quarterly.items() if q > cutoff}
+    config = RunConfig(methods=("imf", "ar"), window=6, error_method=error_method, generated_at="fixed")
+    known = produce_forecast(config, ForecastPanel(forecasts, realizations), origin,
+                             quarterly={TARGET: QuarterlySeries(TARGET, quarters)})
+    assert ",imf,fixed\n" in known[0] and ",ar,fixed\n" in known[0]
+    extended = produce_forecast(
+        config, ForecastPanel({**forecasts, **later_forecasts}, {**realizations, **later_realizations}),
+        origin, quarterly={TARGET: QuarterlySeries(TARGET, {**quarters, **later_quarters})},
+    )
+    assert extended == known
+
+
 class TestGridMemo:
     """A panel keeps the IMF grids it built; a later run on it reuses one only
     under the same grid settings."""
@@ -619,7 +692,7 @@ class TestGridMemo:
         with pytest.raises(TypeError):
             grid.cells[horizon] = cell
         with pytest.raises(TypeError):
-            cell.offsets[0.5] = IntervalOffsets(-1.0, 1.0)
+            cell.lower[0] = -1.0
 
 
 def test_run_json_reads_back_as_the_run_config(tmp_path):

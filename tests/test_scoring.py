@@ -28,6 +28,8 @@ from intervalcast.scoring import (
     write_audit,
 )
 
+from conftest import interval_from_offsets
+
 
 class TestIntervalScore:
     def test_outcome_inside_scores_width(self):
@@ -173,11 +175,17 @@ def scored(country, horizon, outcome=0.0, year=2015, method="imf"):
     """The audit row of a forecast at point 0 with offsets +-1 (level 0.5)
     and +-2 (level 0.8), built by the backtest's own row builder."""
     origin = horizon.origin_for(year)
-    cell = GridCell(point=0.0, target_year=year, forecast_origin=origin, offsets={
-        0.5: IntervalOffsets(-1.0, 1.0), 0.8: IntervalOffsets(-2.0, 2.0),
-    })
-    grid = IntervalGrid(TargetId(country, "gdp"), origin, {horizon: cell}, blocks=(1,))
+    cell = GridCell(point=0.0, target_year=year, forecast_origin=origin, lower=(-1.0, -2.0), upper=(1.0, 2.0))
+    grid = IntervalGrid(TargetId(country, "gdp"), origin, {horizon: cell}, (0.5, 0.8), blocks=(1,))
     return audit_row(grid, horizon, method, outcome, WisWeights((0.5, 0.8)))
+
+
+def test_audit_row_rejects_a_grid_of_other_levels():
+    origin = Horizon.FALL_CURRENT.origin_for(2015)
+    cell = GridCell(point=0.0, target_year=2015, forecast_origin=origin, lower=(-1.0, -2.0), upper=(1.0, 2.0))
+    grid = IntervalGrid(TargetId("AAA", "gdp"), origin, {Horizon.FALL_CURRENT: cell}, (0.5, 0.9), blocks=(1,))
+    with pytest.raises(ValueError, match="grid levels"):
+        audit_row(grid, Horizon.FALL_CURRENT, "imf", 0.0, WisWeights((0.5, 0.8)))
 
 
 class TestAggregateReport:
@@ -279,7 +287,10 @@ class ScoredForecast:
 def scored_forecast(grid, horizon, method, outcome, levels):
     """The forecast as the backtest scored it into objects."""
     cell = grid.cells[horizon]
-    intervals = {tau: cell.interval(tau) for tau in levels}
+    intervals = {
+        tau: interval_from_offsets(cell.point, tau, IntervalOffsets(lo, up))
+        for tau, lo, up in zip(levels, cell.lower, cell.upper)
+    }
     scores = {tau: interval_score(pi.lower, pi.upper, outcome, tau) for tau, pi in intervals.items()}
     return ScoredForecast(
         target=grid.target, horizon=horizon, origin=cell.forecast_origin,
@@ -394,10 +405,12 @@ def scored_forecasts(draw, levels):
     point = draw(values)
     offsets = {tau: IntervalOffsets(*sorted([draw(values), draw(values)])) for tau in levels}
     origin = horizon.origin_for(year)
-    cell = GridCell(point=point, target_year=year, forecast_origin=origin, offsets=offsets,
+    cell = GridCell(point=point, target_year=year, forecast_origin=origin,
+                    lower=[offs.lower for offs in offsets.values()],
+                    upper=[offs.upper for offs in offsets.values()],
                     source_years=(year - 2, year - 1))
     target = TargetId(draw(st.sampled_from(["AAA", "BBB", "CCC"])), draw(st.sampled_from(["gdp", "cpi"])))
-    grid = IntervalGrid(target, origin, {horizon: cell}, blocks=(1,))
+    grid = IntervalGrid(target, origin, {horizon: cell}, levels, blocks=(1,))
     ends = [point + o for offs in offsets.values() for o in (offs.lower, offs.upper)]
     outcome = draw(st.one_of(st.sampled_from([point, -0.0, *ends]), values))
     return grid, horizon, draw(st.sampled_from(["imf", "ar"])), outcome
