@@ -179,15 +179,15 @@ def benchmark_forecast(
     horizon: Horizon,
     min_obs: int = 20,
     window: Optional[int] = None,
-    fit: Ar1Fit | ValueError | None = None,
+    fit: Optional[Ar1Fit] = None,
 ) -> float:
     """Annual AR(1) benchmark forecast for the target year implied by
     ``origin`` and ``horizon``.
 
     Quarters up to the origin cutoff are taken from the data; later quarters
     come from the iterated AR(1) path started at the last observed value.
-    ``fit`` is the origin's ``fit_ar1`` result, or the error it raised, when
-    the caller already has it; both horizons of an origin share one fit.
+    ``fit`` is the origin's ``fit_ar1`` result when the caller already has
+    it; both horizons of an origin share one fit.
     """
     if horizon.season is not origin.season:
         raise ValueError(
@@ -198,8 +198,6 @@ def benchmark_forecast(
     cutoff = quarter_cutoff(origin)
     if fit is None:
         fit = fit_ar1(series, cutoff, min_obs=min_obs, window=window)
-    elif isinstance(fit, ValueError):
-        raise fit.with_traceback(None)
     last_value = series.value(cutoff)
     assert last_value is not None  # fit_ar1 succeeded on the run ending here
     window_quarters = annual_window(target_year)

@@ -122,8 +122,12 @@ class RunConfig:
                     and all(type(year) is int for year in entry[1:]) and entry[1] <= entry[2]):
                 raise ValueError(f"exclude entry {entry!r} must be (country, first year, last year), first <= last")
         validate_levels(self.levels)
-        if self.window < 1:
-            raise ValueError("window length must be >= 1")
+        for name in ("window", "ar_min_obs", "ar_window"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
         t0, t1 = self.train_span
         h0, h1 = self.holdout_span
         if t0 > t1 or h0 > h1:
@@ -239,18 +243,20 @@ class ErrorHistory:
     needs a shorter window w reads the set's first w entries, exactly what a
     build at window w returns. A set infeasible at ``max_window`` raises
     ``InsufficientHistoryError``. No run asks for one set twice, so sets are
-    not kept; their builds walk rows filled on first use: settled ``year ->
-    (first release, error)`` per (target, horizon, method), ``year -> point``
-    per (target, horizon), and, for years not yet settled, ``year -> truth``
-    per (target, origin)."""
+    not kept. The source's only memo is three rows of year rows, each made
+    on first request: ``points[target, horizon][year]``, the forecast;
+    ``settled[target, horizon, method][year]``, ``(first release, error)``;
+    and ``truths[target, origin][year]``, for years not yet settled. Their
+    fills capture locals, not ``self``, so no cycle keeps a history alive."""
 
     def __init__(self, forecasts: ForecastLookup, truths: TruthSelector, max_window: int) -> None:
         self.forecasts = forecasts
         self.max_window = max_window
-        self._truth_source = truths
-        self._points: dict[tuple[TargetId, Horizon], YearRow] = {}
-        self._settled: dict[tuple[TargetId, Horizon, ErrorMethod], YearRow] = {}
-        self._truths: dict[tuple[TargetId, ReleaseDate], YearRow] = {}
+        points = self.points = YearRow(lambda key: YearRow(
+            lambda year: forecasts(key[0], key[1].origin_for(year), year)))
+        self.settled = YearRow(lambda key: YearRow(
+            lambda year: _settled_entry(truths.settled(key[0], year), points[key[:2]], year, key[2])))
+        self.truths = YearRow(lambda key: YearRow(lambda year: truths(key[0], year, key[1])))
 
     def error_set(
         self,
@@ -260,19 +266,10 @@ class ErrorHistory:
         origin: ReleaseDate,
         method: ErrorMethod,
     ) -> ErrorSet:
-        forecasts, truths = self.forecasts, self._truth_source
-        points = self._points.setdefault((target, horizon), YearRow(
-            lambda year: forecasts(target, horizon.origin_for(year), year)
-        ))
-        settled = self._settled.setdefault((target, horizon, method), YearRow(
-            lambda year: _settled_entry(truths.settled(target, year), points, year, method)
-        ))
-        truth_row = self._truths.setdefault(
-            (target, origin), YearRow(lambda year: truths(target, year, origin))
-        )
         return build_error_set(
-            points, truth_row, target, horizon, anchor_year=anchor_year,
-            origin=origin, window=self.max_window, method=method, settled=settled,
+            self.points[target, horizon], self.truths[target, origin], target, horizon,
+            anchor_year=anchor_year, origin=origin, window=self.max_window, method=method,
+            settled=self.settled[target, horizon, method],
         )
 
 
@@ -295,7 +292,7 @@ def build_grid(
     gaps: list[str] = []
     # ``outstanding_cells`` lists the horizons in order, as pooling needs.
     for horizon, (forecast_origin, target_year) in outstanding_cells(origin).items():
-        point = history.forecasts(target, forecast_origin, target_year)
+        point = history.points[target, horizon][target_year]
         if point is None:
             gaps.append(
                 f"{target.country}/{target.variable} {origin}: no {horizon.label} "
@@ -333,33 +330,30 @@ def build_grid(
 def _ar_lookup(
     series_by_target: dict[TargetId, QuarterlySeries], config: RunConfig
 ) -> ForecastLookup:
-    """AR(1) forecasts; one fit per (target, origin) serves both target years."""
-    fits: dict[tuple[TargetId, ReleaseDate], Ar1Fit | ValueError] = {}
-    cache: dict[tuple[TargetId, ReleaseDate, int], Optional[float]] = {}
+    """AR(1) forecasts; one fit per (target, origin) serves both target years,
+    and a fit that fails is None and gives no forecast."""
+    fits: dict[tuple[TargetId, ReleaseDate], Optional[Ar1Fit]] = {}
 
     def lookup(target: TargetId, origin: ReleaseDate, target_year: int) -> Optional[float]:
-        key = (target, origin, target_year)
-        if key not in cache:
-            series = series_by_target.get(target)
-            value: Optional[float] = None
-            if series is not None:
-                fit = fits.get((target, origin))
-                if fit is None:
-                    try:
-                        fit = benchmark.fit_ar1(series, quarter_cutoff(origin),
-                                                min_obs=config.ar_min_obs, window=config.ar_window)
-                    except ValueError as exc:
-                        fit = exc
-                    fits[(target, origin)] = fit
-                try:
-                    value = benchmark_forecast(
-                        series, origin, horizon_of(origin, target_year),
-                        min_obs=config.ar_min_obs, window=config.ar_window, fit=fit,
-                    )
-                except ValueError:  # InsufficientQuarterlyHistoryError included
-                    value = None
-            cache[key] = value
-        return cache[key]
+        series = series_by_target.get(target)
+        if series is None:
+            return None
+        if (target, origin) not in fits:
+            try:
+                fits[target, origin] = benchmark.fit_ar1(series, quarter_cutoff(origin),
+                                                         min_obs=config.ar_min_obs, window=config.ar_window)
+            except ValueError:
+                fits[target, origin] = None
+        fit = fits[target, origin]
+        if fit is None:
+            return None
+        try:
+            return benchmark_forecast(
+                series, origin, horizon_of(origin, target_year),
+                min_obs=config.ar_min_obs, window=config.ar_window, fit=fit,
+            )
+        except ValueError:  # a missing quarter in the aggregate's observed part
+            return None
 
     return lookup
 
@@ -435,19 +429,22 @@ def run_backtest(
 
     Iterates over origins, builds and corrects each origin's grid, scores the
     freshly issued horizons against evaluation truths, and aggregates with the
-    configured exclusions.
+    configured exclusions. An origin scores target years of its own year and
+    the next, so only origin years from the panel's first realized target
+    year minus 1 to its last are walked; one gap names each skipped range.
     """
     h0, h1 = config.holdout_span
     as_of = _eval_as_of(config, panel)
     weights = WisWeights(config.levels)
     grids: list[IntervalGrid] = []
     audit: list[dict[str, object]] = []
-    gaps: list[str] = []
-    origins = [
-        ReleaseDate(year, season)
-        for year in range(h0 - 1, h1 + 1)
-        for season in (Season.SPRING, Season.FALL)
-    ]
+    realized = [year for _, year, _ in panel.realizations]
+    first = max(h0 - 1, min(realized, default=h1 + 1) - 1)
+    last = min(h1, max(realized, default=h0 - 2))
+    skipped = [(h0 - 1, h1)] if first > last else [(h0 - 1, first - 1), (last + 1, h1)]
+    gaps = [f"holdout origins {a}-{b} skipped: no realization for target years {a}-{b + 1}"
+            for a, b in skipped if a <= b]
+    origins = [ReleaseDate(year, season) for year in range(first, last + 1) for season in (Season.SPRING, Season.FALL)]
     for label, forecasts, truths in _sources(config, panel, quarterly, external):
         for target in panel.targets:
             history = ErrorHistory(forecasts, truths, config.window)
@@ -564,7 +561,7 @@ def run_tuning(
             except TruthUnavailableError:
                 continue
             for horizon in HORIZONS:
-                point = view.forecast(target, horizon.origin_for(year), year)
+                point = history.points[target, horizon][year]
                 if point is not None:
                     scorable[(target.variable, horizon)].append((target, year, point, outcome))
     levels, weights = config.levels, WisWeights(config.levels)

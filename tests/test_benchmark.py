@@ -167,7 +167,7 @@ class TestBenchmarkForecast:
         path = forecast_ar1_path(fit, series.value((2018, 1)), 7)
         assert got == pytest.approx(aggregate_annual(path), abs=1e-9)
 
-    def test_given_fit_or_error_is_used(self):
+    def test_given_fit_is_used(self):
         rng = np.random.default_rng(12)
         series = series_from_values(list(rng.normal(1.0, 0.3, size=76)))
         origin = ReleaseDate(2017, Season.SPRING)
@@ -176,9 +176,6 @@ class TestBenchmarkForecast:
             assert repr(benchmark_forecast(series, origin, horizon, fit=fit)) == repr(
                 benchmark_forecast(series, origin, horizon)
             )
-        error = InsufficientQuarterlyHistoryError("no fit at this origin")
-        with pytest.raises(InsufficientQuarterlyHistoryError, match="no fit at this origin"):
-            benchmark_forecast(series, origin, Horizon.SPRING_NEXT, fit=error)
 
     def test_season_mismatch_rejected(self):
         series = series_from_values(ar1_values(1.0, 0.5, 0.0, 80))

@@ -106,6 +106,17 @@ class TestBacktest:
         assert code == 2
         assert json.loads((out / "gaps.json").read_text())
 
+    def test_holdout_span_past_the_data_is_one_gap(self, panel_path, tmp_path):
+        out = tmp_path / "out"
+        code = main(["backtest", "--data", panel_path, "--out", str(out), "--holdout-span", "2013-2100"])
+        assert code == 2
+        # One gap for the skipped origins; the others are the 2023 origins'
+        # unrealized next-year cells, 2 targets x 2 seasons.
+        gaps = json.loads((out / "gaps.json").read_text())
+        assert gaps[0] == "holdout origins 2024-2100 skipped: no realization for target years 2024-2101"
+        assert len(gaps) == 5 and all(gap.startswith("truth unavailable") for gap in gaps[1:])
+        assert len(json.loads((out / "audit.json").read_text())) == 2 * 4 * 11
+
     def test_flag_overrides(self, panel_path, tmp_path):
         out = tmp_path / "out"
         code = main([
@@ -239,6 +250,9 @@ class TestBadInput:
 
     @pytest.mark.parametrize("key, value", [
         ("truth_rule", "latest"), ("ar_window", "eight"), ("ar_min_obs", [20]),
+        # These ran: an empty method list wrote header-only files, and
+        # ar_window -3 fitted on all but the first two quarters of a run.
+        ("methods", ""), ("ar_window", -3), ("ar_min_obs", 0),
     ])
     def test_bad_config_value_exits_one(self, panel_path, tmp_path, capsys, key, value):
         config = tmp_path / "config.json"

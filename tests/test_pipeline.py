@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intervalcast import benchmark, pipeline
-from intervalcast.benchmark import QuarterlySeries
+from intervalcast.benchmark import QuarterlySeries, QuarterlyTruthSelector
 from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, Season, TargetId, horizon_of
 from intervalcast.errorsets import ErrorMethod
 from intervalcast.ingest import FallbackRule, ForecastPanel, PanelTruthSelector
@@ -44,6 +44,15 @@ class TestConfig:
             RunConfig(methods=("imf", "arma"))
         with pytest.raises(ValueError, match="window"):
             RunConfig(window=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("methods", ()), ("ar_window", 0), ("ar_window", -3), ("ar_min_obs", 0),
+    ])
+    def test_values_that_would_run_silently_wrong_are_rejected(self, field, value):
+        # Accepted before: no method wrote header-only files, and ar_window -3
+        # fitted on all but the first two quarters of the run.
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            RunConfig(**{field: value})
 
     def test_parse_exclusions(self):
         assert parse_exclusions(["JPN:2021-2023", "DEU:2009"]) == (
@@ -290,6 +299,27 @@ class TestRunBacktest:
         result = run_backtest(RunConfig(), panel)
         assert len(result.audit) == 2 * 4 * 11
 
+    def test_holdout_walk_stops_at_the_last_realized_year(self, monkeypatch):
+        # Realized target years run to 2023, so no origin after 2023 can
+        # score; the walk once went on to 999999, asking for 4 million grids.
+        panel = backtest_panel(2)
+        bounded = run_backtest(RunConfig(), panel)
+        grid_at, asked = pipeline._grid_at, []
+
+        def counted(*args):
+            asked.append(args)
+            assert len(asked) <= 2 * 2 * (2023 - 2012 + 1), "walked past the data"
+            return grid_at(*args)
+
+        monkeypatch.setattr(pipeline, "_grid_at", counted)
+        result = run_backtest(RunConfig(holdout_span=(2013, 999999)), panel)
+        assert result.audit == bounded.audit
+        # The 2023 origins' next-year cells (2024) are unrealized, as before.
+        assert result.gaps == [
+            "holdout origins 2024-999999 skipped: no realization for target years 2024-1000000",
+            *(f"truth unavailable for {country}/gdp 2024 as of 2024F" for country in ("AAA", "BBB") for _ in "SF"),
+        ]
+
     def test_pooled_coverage_near_nominal(self):
         panel = backtest_panel(6)
         result = run_backtest(RunConfig(), panel)
@@ -354,6 +384,20 @@ class TestRunBacktest:
         with pytest.raises(ValueError, match="quarterly data"):
             run_backtest(RunConfig(methods=("ar",)), backtest_panel(2))
 
+    @staticmethod
+    def _counted_ar(monkeypatch):
+        calls = {"fit": 0, "forecast": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(benchmark, "fit_ar1", counted("fit", benchmark.fit_ar1))
+        monkeypatch.setattr(pipeline, "benchmark_forecast", counted("forecast", pipeline.benchmark_forecast))
+        return calls
+
     def test_ar_lookup_fits_once_per_target_and_origin(self, monkeypatch):
         rng = np.random.default_rng(4)
         growth = {(year, q): float(rng.normal(0.5, 0.4)) for year in range(1990, 2021)
@@ -365,7 +409,7 @@ class TestRunBacktest:
         asks = [
             (target, ReleaseDate(year, season), year + offset)
             for target in (TARGET, TargetId("BBB", "gdp"))  # BBB has no series
-            for year in range(2000, 2020) for season in Season for offset in (1, 0, 1)
+            for year in range(2000, 2020) for season in Season for offset in (1, 0, 1, 0)
         ]
 
         def unshared(target, origin, target_year):
@@ -380,20 +424,41 @@ class TestRunBacktest:
                 return None
 
         expected = [unshared(*ask) for ask in asks]
-        assert None in expected and any(v is not None for v in expected)
-        calls = {"fit": 0, "forecast": 0}
+        assert None in expected[:len(expected) // 2] and any(v is not None for v in expected)
+        calls = self._counted_ar(monkeypatch)
+        history = ErrorHistory(_ar_lookup(quarterly, config), QuarterlyTruthSelector(quarterly), config.window)
+        points = [history.points[target, horizon_of(origin, year)][year] for target, origin, year in asks]
+        assert points == expected
+        # Each point asked twice is forecast once, and only where its origin's fit holds.
+        fitted = {ask[:2] for ask, value in zip(asks, expected) if value is not None}
+        assert calls == {"fit": 20 * 2, "forecast": 2 * len(fitted)}
+        assert 0 < len(fitted) < 20 * 2
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+    def test_failed_ar_fit_makes_no_forecast_call(self, monkeypatch):
+        growth = {(year, q): 0.5 + 0.1 * q for year in range(2015, 2021) for q in (1, 2, 3, 4)}
+        quarterly = {TARGET: QuarterlySeries(target=TARGET, growth=growth)}
+        calls = self._counted_ar(monkeypatch)
+        lookup = _ar_lookup(quarterly, RunConfig(methods=("ar",)))  # 18 pairs at 2019F, 20 needed
+        origin = ReleaseDate(2019, Season.FALL)
+        assert [lookup(TARGET, origin, year) for year in (2019, 2020, 2019)] == [None] * 3
+        assert calls == {"fit": 1, "forecast": 0}
 
-        monkeypatch.setattr(benchmark, "fit_ar1", counted("fit", benchmark.fit_ar1))
-        monkeypatch.setattr(pipeline, "benchmark_forecast", counted("forecast", pipeline.benchmark_forecast))
-        lookup = _ar_lookup(quarterly, config)
-        assert [lookup(*ask) for ask in asks] == expected
-        assert calls == {"fit": 20 * 2, "forecast": 20 * 2 * 2}
+    def test_error_set_builds_no_row_when_its_rows_exist(self, small_panel, monkeypatch):
+        history = ErrorHistory(small_panel.forecast, PanelTruthSelector(small_panel), 11)
+        origin = ReleaseDate(2020, Season.FALL)
+        first = history.error_set(TARGET, Horizon.FALL_NEXT, 2021, origin, ErrorMethod.ABSOLUTE)
+        made = []
+
+        class CountedRow(pipeline.YearRow):
+            def __init__(self, fill):
+                made.append(fill)
+                super().__init__(fill)
+
+        monkeypatch.setattr(pipeline, "YearRow", CountedRow)
+        again = history.error_set(TARGET, Horizon.FALL_NEXT, 2021, origin, ErrorMethod.ABSOLUTE)
+        assert again == first and made == []
+        history.error_set(TARGET, Horizon.FALL_NEXT, 2021, origin, ErrorMethod.DIRECTIONAL)
+        assert len(made) == 1  # the settled row of the new method only
 
 
 class TestRunTuning:
