@@ -11,13 +11,12 @@ annual point forecasts feed the same interval machinery as external forecasts.
 from __future__ import annotations
 
 import math
+import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
-
-import numpy as np
 
 from intervalcast.domain import Horizon, ReleaseDate, Season, TargetId
 
@@ -102,8 +101,9 @@ def fit_ar1(
     min_obs: int = 20,
     window: Optional[int] = None,
 ) -> Ar1Fit:
-    """OLS fit of x_q on (1, x_{q-1}) over the contiguous run ending at
-    ``last_usable_quarter``.
+    """OLS fit of x_q on (1, x_{q-1}) by ``statistics.linear_regression``, over
+    the contiguous run ending at ``last_usable_quarter``. A constant run, or
+    one whose sums leave the float range, raises DegenerateRegressorError.
 
     The fit window expands over all contiguous quarters by default; pass
     ``window`` to cap it at a rolling number of observations.
@@ -117,16 +117,16 @@ def fit_ar1(
             f"insufficient quarterly history for {series.target.country}/"
             f"{series.target.variable}: {max(n_pairs, 0)} usable pairs, need {min_obs}"
         )
-    x = np.asarray(run[:-1], dtype=float)
-    y = np.asarray(run[1:], dtype=float)
-    if np.ptp(x) == 0.0:
+    x, y = run[:-1], run[1:]
+    if max(x) == min(x):
         raise DegenerateRegressorError(
             f"degenerate regressor: constant series for {series.target.country}/"
             f"{series.target.variable}"
         )
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    intercept, slope = float(coef[0]), float(coef[1])
+    try:
+        slope, intercept = statistics.linear_regression(x, y)
+    except (ValueError, OverflowError) as exc:  # a sum beyond the float range
+        raise DegenerateRegressorError(f"AR(1) sums out of float range: {exc}") from exc
     if not (math.isfinite(intercept) and math.isfinite(slope)):
         raise DegenerateRegressorError("non-finite AR(1) coefficients")
     first = _q_from_index(_q_index(last_usable_quarter) - n_pairs)

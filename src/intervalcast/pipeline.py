@@ -348,10 +348,7 @@ def _ar_lookup(
         if fit is None:
             return None
         try:
-            return benchmark_forecast(
-                series, origin, horizon_of(origin, target_year),
-                min_obs=config.ar_min_obs, window=config.ar_window, fit=fit,
-            )
+            return benchmark_forecast(series, origin, horizon_of(origin, target_year), fit=fit)
         except ValueError:  # a missing quarter in the aggregate's observed part
             return None
 
@@ -531,7 +528,7 @@ def run_tuning(
     A scored year's errors, taken once per error method at that window, go
     newest first into one sorted list; each (window w, quantile method) of the
     error method reads its levels from the sorted first w, the set a build at
-    w holds.
+    w holds. The span is walked only from the view's first realized year to its last.
     """
     if not grid:
         raise ValueError("tuning grid must be nonempty")
@@ -552,8 +549,10 @@ def run_tuning(
     scorable: dict[tuple[str, Horizon], list[tuple[TargetId, int, float, float]]] = {
         (variable, horizon): [] for variable in variables for horizon in HORIZONS
     }
+    realized = [year for _, year, _ in view.realizations]
+    years = range(max(t0, min(realized, default=t1 + 1)), min(t1, max(realized, default=t0 - 1)) + 1)
     for target in view.targets:
-        for year in range(t0, t1 + 1):
+        for year in years:
             try:
                 outcome = select_truth(
                     view, target, year, cutoff, config.truth_rule, mode="evaluation"

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intervalcast.benchmark import (
@@ -21,6 +26,9 @@ from intervalcast.benchmark import (
 )
 from intervalcast.domain import Horizon, ReleaseDate, Season, TargetId
 
+from conftest import make_panel
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 TARGET = TargetId("USA", "gdp")
 
 
@@ -72,6 +80,53 @@ class TestFit:
         series = series_from_values(values)
         fit = fit_ar1(series, (2014, 4), window=30)
         assert fit.n_obs == 30
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.floats(-100, 100), min_size=21, max_size=200))
+def test_fit_matches_exact_ols(run):
+    """Both coefficients lie within 1e-12 of exact OLS, scaled by
+    max(1, |exact|). The run's sum of squares is at most 100 times the
+    regressor's centered sum, which bounds the error whatever the run's
+    correlation; that centered sum is kept above 1e-100, out of the range
+    where squared deviations underflow."""
+    x, y = [Fraction(v) for v in run[:-1]], [Fraction(v) for v in run[1:]]
+    xbar, ybar = sum(x) / len(x), sum(y) / len(y)
+    sxx = sum((v - xbar) ** 2 for v in x)
+    assume(sxx >= 1e-100 and 100 * sxx >= sum(Fraction(v) ** 2 for v in run))
+    slope = sum((a - xbar) * (b - ybar) for a, b in zip(x, y)) / sxx
+    intercept = ybar - slope * xbar
+    series = series_from_values(run)
+    fit = fit_ar1(series, max(series.growth))
+    for got, exact in ((fit.slope, slope), (fit.intercept, intercept)):
+        assert abs(Fraction(got) - exact) <= 1e-12 * max(1, abs(exact))
+
+
+@pytest.mark.parametrize("values", [
+    [(-1) ** k * 1e300 * (1 + k / 64) for k in range(41)],
+    [k * 1e-300 for k in range(41)],
+    [(-1) ** k * 1.7e308 for k in range(41)],
+], ids=["near-1e300", "1e-300-apart", "1.7e308"])
+def test_sums_beyond_the_float_range_are_degenerate(values):
+    # The centered squares overflow, underflow to zero, or the sums overflow.
+    with pytest.raises(DegenerateRegressorError):
+        fit_ar1(series_from_values(values), (2010, 1))
+
+
+def test_backtest_with_ar_runs_without_numpy(tmp_path):
+    panel = make_panel(countries=("AAA",), first_year=1995, last_year=2021)
+    (tmp_path / "panel.csv").write_text(panel.to_canonical_csv())
+    rng = np.random.default_rng(0)
+    quarters = [f"AAA,gdp,{year},{q},{rng.normal(0.5, 0.4):.4f}" for year in range(1960, 2022) for q in range(1, 5)]
+    (tmp_path / "quarterly.csv").write_text("\n".join(["country,variable,year,quarter,value", *quarters]) + "\n")
+    args = ["backtest", "--methods", "imf,ar", "--data", "panel.csv", "--quarterly-data", "quarterly.csv",
+            "--out", "out"]
+    code = f"import sys; sys.modules['numpy'] = None\nfrom intervalcast import cli\nsys.exit(cli.main({args!r}))\n"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode in (0, 2), out.stderr
+    assert ",ar," in (tmp_path / "out" / "report.csv").read_text()
 
 
 class TestForecastPath:

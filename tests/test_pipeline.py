@@ -532,6 +532,25 @@ class TestRunTuning:
         run_tuning(RunConfig(), backtest_panel(2), grid)
         assert keys and len(keys) == len(set(keys))
 
+    def test_train_span_walk_stops_at_the_realized_years(self, monkeypatch):
+        # A span reaching far before the data gives the same rows, with one
+        # truth lookup at most per target and realized year.
+        calls = []
+        select = pipeline.select_truth
+
+        def counted(*args, **kw):
+            calls.append(args[1:3])
+            return select(*args, **kw)
+
+        panel = make_panel(countries=("AAA",))
+        grid = [(4, ErrorMethod.ABSOLUTE, QuantileMethod.LINEAR)]
+        expected = run_tuning(RunConfig(train_span=(1990, 2012)), panel, grid).to_csv()
+        monkeypatch.setattr(pipeline, "select_truth", counted)
+        report = run_tuning(RunConfig(train_span=(-200000, 2012)), panel, grid)
+        assert report.to_csv() == expected
+        realized_years = {year for _, year, _ in panel.realizations if year <= 2012}
+        assert 0 < len(calls) <= len(panel.targets) * len(realized_years)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             run_tuning(RunConfig(), backtest_panel(2), [])
