@@ -54,7 +54,7 @@ class ReleaseDate:
         """The release date written as ``str(date)``, e.g. '2012S'."""
         try:
             return cls(int(token[:-1]), Season.parse(token[-1]))
-        except (TypeError, ValueError, IndexError):
+        except (TypeError, ValueError, LookupError):  # a dict's slice lookup raises KeyError from 3.12
             raise ValueError(f"bad release date {token!r}, expected e.g. 2012S") from None
 
 

@@ -195,41 +195,58 @@ def _parse_int(token: str, column: str) -> int:
         raise SchemaMismatchError(f"unparseable {column} {token!r}") from None
 
 
+class _Parsed(dict):
+    """One parse's table of tokens to their parsed value: ``parse`` runs on a
+    key's first lookup only, and a key whose parse raises is not kept."""
+
+    def __init__(self, parse):
+        self.parse = parse
+
+    def __missing__(self, key):
+        value = self[key] = self.parse(key)
+        return value
+
+
 def parse_forecast_panel(stream: TextIO, source: str = "") -> ForecastPanel:
     """Parse the long-format forecast/realization CSV into a panel.
 
     Rows with a missing value token are skipped and recorded in
     ``panel.skipped`` with their line numbers. Duplicate keys and malformed
-    rows raise with line-numbered diagnostics.
+    rows raise with line-numbered diagnostics. Equal targets and releases share one object.
     """
     reader = csv.reader(stream)
     _check_header(reader, FORECAST_HEADER)
     forecasts: dict[tuple[TargetId, ReleaseDate, int], float] = {}
     realizations: dict[tuple[TargetId, int, ReleaseDate], float] = {}
     skipped: list[tuple[int, str]] = []
-    # The first line of each forecast and realization key.
-    seen: dict[object, int] = {}
+    targets, years = _Parsed(lambda names: TargetId(*names)), _Parsed(lambda t: _parse_int(t, "target_year"))
+    releases = _Parsed(lambda release: release)  # equal releases share the first object
+    origins = _Parsed(lambda t: releases[ReleaseDate(_parse_int(t[0], "origin_year"), Season.parse(t[1]))])
+    vintages = _Parsed(lambda t: releases[ReleaseDate(_parse_int(t[0], "vintage_year"), Season.parse(t[1]))])
+    horizons = _Parsed(lambda t: horizon_of(origins[t[:2]], years[t[2]]))
+    # The line of each forecast and realization key, in insertion order.
+    lines: dict[str, list[int]] = {"forecast": [], "realization": []}
     for line, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
+        if not any(cells := [c.strip() for c in row]):
             continue
         try:
-            if len(row) != len(FORECAST_HEADER):
+            if len(cells) != len(FORECAST_HEADER):
                 raise SchemaMismatchError(
                     f"expected {len(FORECAST_HEADER)} columns, got {len(row)}"
                 )
-            country, variable, kind, oy, os_, ty, vy, vs, value_token = [c.strip() for c in row]
+            country, variable, kind, oy, os_, ty, vy, vs, value_token = cells
             value = _parse_value(value_token)
             if value is None:
                 skipped.append((line, "missing value"))
                 continue
-            target = TargetId(country=country, variable=variable)
-            target_year = _parse_int(ty, "target_year")
+            target = targets[country, variable]
+            target_year = years[ty]
             if kind == "forecast":
-                origin = ReleaseDate(_parse_int(oy, "origin_year"), Season.parse(os_))
-                horizon_of(origin, target_year)  # raises for an unsupported horizon
+                origin = origins[oy, os_]
+                horizons[oy, os_, ty]  # raises for an unsupported horizon
                 key, store = (target, origin, target_year), forecasts
             elif kind == "realization":
-                vintage = ReleaseDate(_parse_int(vy, "vintage_year"), Season.parse(vs))
+                vintage = vintages[vy, vs]
                 if vintage.year < target_year:
                     raise ValueError(f"vintage {vintage} predates target year {target_year}")
                 key, store = (target, target_year, vintage), realizations
@@ -237,15 +254,15 @@ def parse_forecast_panel(stream: TextIO, source: str = "") -> ForecastPanel:
                 raise SchemaMismatchError(f"unknown kind {kind!r}")
         except ValueError as exc:
             raise type(exc)(f"line {line}: {exc}") from None
-        first = seen.setdefault(key, line)
-        if first != line:
+        if store.setdefault(key, value) is not value:  # each row's float is a new object
+            first = lines[kind][list(store).index(key)]
             what = (
                 f"forecast {country}/{variable} origin {origin} target {target_year}"
                 if kind == "forecast"
                 else f"realization {country}/{variable} target {target_year} vintage {vintage}"
             )
             raise DuplicateRecordError(f"duplicate record: {what} at lines {first} and {line}")
-        store[key] = value
+        lines[kind].append(line)
     return ForecastPanel(forecasts, realizations, source=source, skipped=skipped)
 
 
@@ -324,33 +341,37 @@ def parse_quarterly(
     reader = csv.reader(stream)
     _check_header(reader, QUARTERLY_HEADER)
     index_set = set(index_variables)
-    levels: dict[TargetId, dict[tuple[int, int], float]] = {}
+    years, quarters = _Parsed(lambda t: _parse_int(t, "year")), _Parsed(lambda t: _parse_int(t, "quarter"))
+    levels = _Parsed(lambda names: (TargetId(*names), {}))  # names -> (target, (year, quarter) -> value)
+    first_lines: dict[tuple[str, str, int, int], int] = {}
     for line, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
+        if not any(cells := [c.strip() for c in row]):
             continue
         try:
-            if len(row) != len(QUARTERLY_HEADER):
+            if len(cells) != len(QUARTERLY_HEADER):
                 raise SchemaMismatchError(
                     f"expected {len(QUARTERLY_HEADER)} columns, got {len(row)}"
                 )
-            country, variable, year_tok, quarter_tok, value_token = [c.strip() for c in row]
+            country, variable, year_tok, quarter_tok, value_token = cells
             value = _parse_value(value_token)
             if value is None:
                 continue
-            year = _parse_int(year_tok, "year")
-            quarter = _parse_int(quarter_tok, "quarter")
+            year, quarter = years[year_tok], quarters[quarter_tok]
             if quarter not in (1, 2, 3, 4):
                 raise SchemaMismatchError(f"quarter must be 1-4, got {quarter}")
-            target = TargetId(country=country, variable=variable)
+            obs = levels[country, variable][1]
             if variable in index_set and value <= 0:
                 raise SchemaMismatchError(
                     f"invalid level {value} (index levels must be positive)"
                 )
         except ValueError as exc:
             raise type(exc)(f"line {line}: {exc}") from None
-        levels.setdefault(target, {})[(year, quarter)] = value
+        if (first := first_lines.setdefault((country, variable, year, quarter), line)) != line:
+            what = f"quarterly {country}/{variable} {year} quarter {quarter}"
+            raise DuplicateRecordError(f"duplicate record: {what} at lines {first} and {line}")
+        obs[year, quarter] = value
     out: dict[TargetId, QuarterlySeries] = {}
-    for target, obs in levels.items():
+    for target, obs in levels.values():
         if target.variable in index_set:
             growth = _log_growth(obs)
         else:

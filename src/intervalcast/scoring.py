@@ -359,31 +359,39 @@ _ROW_FIELDS: tuple[tuple[str, Callable[[object], bool], str], ...] = (
 )
 
 
-def _row_problem(row: object, levels: Sequence[float]) -> Optional[str]:
+def _row_problem(row: object, levels: Sequence[float], passed: set[object]) -> Optional[str]:
+    """Why ``aggregate_report`` cannot read ``row`` at ``levels``, or None. The forecast
+    origins and (interval keys, score keys) pairs in ``passed`` need no second check."""
     if not isinstance(row, dict):
         return f"a row must be an object, not {type(row).__name__}"
     for key, ok, kind in _ROW_FIELDS:
-        if not ok(row.get(key)):
+        value = row.get(key)
+        if not (key == "forecast_origin" and isinstance(value, str) and value in passed or ok(value)):
             return f"{key!r} must be {kind}, got {row[key]!r}" if key in row else f"no {key!r}"
+    new = (shape := (tuple(row["intervals"]), tuple(row["scores"]))) not in passed
     for key, p in row["intervals"].items():
-        if not (_parses(float, key) and isinstance(p, dict) and "degenerate" in p and "excludes_center" in p
-                and _number(p.get("lower")) and _number(p.get("upper")) and p["lower"] <= p["upper"]):
+        if not ((not new or _parses(float, key)) and isinstance(p, dict) and "degenerate" in p
+                and "excludes_center" in p and _number(p.get("lower")) and _number(p.get("upper"))
+                and p["lower"] <= p["upper"]):
             return f"interval {key!r} must hold numbers lower <= upper and both flags, got {p!r}"
     for key, p in row["scores"].items():
-        if not (_parses(float, key) and isinstance(p, dict) and all(_number(p.get(k)) for k in _SCORE_PARTS)):
+        if not ((not new or _parses(float, key)) and isinstance(p, dict) and all(_number(p.get(k)) for k in _SCORE_PARTS)):
             return f"score {key!r} must hold numeric {', '.join(_SCORE_PARTS)}, got {p!r}"
-    for tau in levels:
+    for tau in levels if new else ():
         for part in ("intervals", "scores"):
             if str(tau) not in row[part]:
                 return f"no {part[:-1]} at level {tau}"
+    passed.update((row["forecast_origin"], shape))
     return None
 
 
 def check_rows(rows: Sequence[object], levels: Sequence[float]) -> None:
     """Raise ``ValueError`` naming the first of ``rows``, read back from an
-    ``audit.json``, that ``aggregate_report`` cannot read at ``levels``."""
+    ``audit.json``, that ``aggregate_report`` cannot read at ``levels``; each
+    distinct origin and pair of level-key tuples once, each row's values."""
+    passed: set[object] = set()
     for i, row in enumerate(rows):
-        problem = _row_problem(row, levels)
+        problem = _row_problem(row, levels, passed)
         if problem is not None:
             raise ValueError(f"malformed audit row {i}: {problem}")
 

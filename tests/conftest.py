@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import csv
 import os
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from intervalcast.domain import HORIZONS, ReleaseDate, Season, TargetId
-from intervalcast.ingest import ForecastPanel
+from intervalcast.domain import HORIZONS, ReleaseDate, Season, TargetId, horizon_of
+from intervalcast.ingest import (
+    FORECAST_HEADER,
+    DuplicateRecordError,
+    ForecastPanel,
+    SchemaMismatchError,
+    _check_header,
+    _parse_int,
+    _parse_value,
+)
 from intervalcast.intervals import PredictionInterval, pool_level_rows
 
 DEFAULT_SIGMAS = {h: 0.5 + 0.25 * h.index for h in HORIZONS}
@@ -62,6 +71,55 @@ def make_panel(
                 for season in (Season.SPRING, Season.FALL):
                     realizations[(target, year, ReleaseDate(year + 1, season))] = truth
     return ForecastPanel(forecasts, realizations, source="synthetic")
+
+
+def parse_forecast_panel_per_row(stream, source=""):
+    """``ingest.parse_forecast_panel`` as it was before its token tables: every
+    row's tokens parsed and checked afresh, and a new ``TargetId`` and
+    ``ReleaseDate`` per row. The oracle of the table-driven parser."""
+    reader = csv.reader(stream)
+    _check_header(reader, FORECAST_HEADER)
+    forecasts, realizations, skipped = {}, {}, []
+    # The first line of each forecast and realization key.
+    seen = {}
+    for line, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        try:
+            if len(row) != len(FORECAST_HEADER):
+                raise SchemaMismatchError(
+                    f"expected {len(FORECAST_HEADER)} columns, got {len(row)}"
+                )
+            country, variable, kind, oy, os_, ty, vy, vs, value_token = [c.strip() for c in row]
+            value = _parse_value(value_token)
+            if value is None:
+                skipped.append((line, "missing value"))
+                continue
+            target = TargetId(country=country, variable=variable)
+            target_year = _parse_int(ty, "target_year")
+            if kind == "forecast":
+                origin = ReleaseDate(_parse_int(oy, "origin_year"), Season.parse(os_))
+                horizon_of(origin, target_year)  # raises for an unsupported horizon
+                key, store = (target, origin, target_year), forecasts
+            elif kind == "realization":
+                vintage = ReleaseDate(_parse_int(vy, "vintage_year"), Season.parse(vs))
+                if vintage.year < target_year:
+                    raise ValueError(f"vintage {vintage} predates target year {target_year}")
+                key, store = (target, target_year, vintage), realizations
+            else:
+                raise SchemaMismatchError(f"unknown kind {kind!r}")
+        except ValueError as exc:
+            raise type(exc)(f"line {line}: {exc}") from None
+        first = seen.setdefault(key, line)
+        if first != line:
+            what = (
+                f"forecast {country}/{variable} origin {origin} target {target_year}"
+                if kind == "forecast"
+                else f"realization {country}/{variable} target {target_year} vintage {vintage}"
+            )
+            raise DuplicateRecordError(f"duplicate record: {what} at lines {first} and {line}")
+        store[key] = value
+    return ForecastPanel(forecasts, realizations, source=source, skipped=skipped)
 
 
 def without(panel, forecasts=(), realizations=()) -> ForecastPanel:

@@ -310,6 +310,16 @@ class TestBadInput:
         assert code == 1
         self._assert_one_line_error(capsys, f"{key} must be str")
 
+    def test_duplicate_quarterly_row_exits_one(self, panel_path, tmp_path, capsys):
+        quarterly = tmp_path / "quarterly.csv"
+        quarterly.write_text("country,variable,year,quarter,value\nAAA,gdp,2000,1,1.0\nAAA,gdp,2000,1,9.0\n")
+        code = main(["forecast", "--data", panel_path, "--quarterly-data", str(quarterly),
+                     "--methods", "imf,ar", "--out", str(tmp_path / "out"),
+                     "--origin-year", "2023", "--origin-season", "F"])
+        assert code == 1
+        self._assert_one_line_error(capsys, "duplicate record: quarterly AAA/gdp 2000 quarter 1 at lines 2 and 3")
+        assert not (tmp_path / "out").exists()
+
     def test_generated_at_of_wrong_type_exits_one(self, panel_path, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"generated_at": ["x"]}))

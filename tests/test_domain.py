@@ -81,7 +81,7 @@ def test_release_date_parse_inverts_str(year, season):
     assert ReleaseDate.parse(str(date)) == date
 
 
-@pytest.mark.parametrize("token", ["2023", "2023X", "", "S", 2023])
+@pytest.mark.parametrize("token", ["2023", "2023X", "", "S", 2023, {"a": 1}])
 def test_release_date_parse_names_bad_token(token):
     with pytest.raises(ValueError, match=f"bad release date {token!r}"):
         ReleaseDate.parse(token)

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from intervalcast.ingest import (
     select_truth,
 )
 
-from conftest import make_panel
+from conftest import make_panel, parse_forecast_panel_per_row
 
 TARGET = TargetId("AAA", "gdp")
 
@@ -103,6 +104,69 @@ class TestParseForecastPanel:
         assert max(origin.year for (_, origin, _) in view.forecasts) == 2012
         assert all(v <= cutoff for (_, _, v) in view.realizations)
         assert view.max_vintage() == cutoff
+
+
+def spellings(token):
+    """Ways of writing ``token`` that parse to the same value."""
+    if token in ("S", "F"):
+        name = "SPRING" if token == "S" else "FALL"
+        return st.sampled_from([token, token.lower(), name, f" {name.lower()}"])
+    return st.sampled_from([token, f"0{token}", f" {token} "])
+
+
+@st.composite
+def panel_rows(draw):
+    """One data row: mostly well formed, in mixed spellings, over so few keys
+    that rows repeat; now and then blank, short, or with one bad token."""
+    shape = draw(st.integers(0, 19))
+    if shape == 0:
+        return draw(st.sampled_from(["", " , ,", "AAA,gdp,forecast,2012,S,2012,NA,NA"]))
+    country = draw(st.sampled_from(["AAA", "AAA", " AAA", "BBB"]))
+    variable = draw(st.sampled_from(["gdp", "gdp ", "cpi"]))
+    year, season = draw(st.sampled_from(["2012", "2013"])), draw(st.sampled_from(["S", "F"]))
+    # Offsets 2 and -1 make unsupported horizons and vintages before their target.
+    offset = draw(st.sampled_from([0, 1] * 6 + [2, -1]))
+    value = draw(st.sampled_from(["1.5", "-0.25", "2", "NA", "na"]))
+    release = [draw(spellings(year)), draw(spellings(season))]
+    if draw(st.booleans()):
+        target_year = draw(spellings(str(int(year) + offset)))
+        cells = [country, variable, "forecast", *release, target_year, "NA", "NA", value]
+    else:
+        target_year = draw(spellings(str(int(year) - offset)))
+        cells = [country, variable, "realization", "NA", "NA", target_year, *release, value]
+    if shape == 1:
+        cells[draw(st.integers(0, 8))] = draw(st.sampled_from(["", "x", "X", "NA", "inf", "guess", "20 12"]))
+    return ",".join(cells)
+
+
+def parse_outcome(parse, text):
+    """The panel's forecasts, realizations and skipped rows, in order, or the
+    exception's type and text."""
+    try:
+        panel = parse(io.StringIO(text))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return list(panel.forecasts.items()), list(panel.realizations.items()), panel.skipped
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rows=st.lists(panel_rows(), max_size=25))
+def test_token_tables_match_the_per_row_parser(rows):
+    text = "\n".join([HEADER, *rows]) + "\n"
+    assert parse_outcome(parse_forecast_panel, text) == parse_outcome(parse_forecast_panel_per_row, text)
+
+
+def test_keys_share_one_object_per_target_and_release(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import gen
+
+    text, _ = gen.make_panel(1)
+    panel = parse_forecast_panel(io.StringIO(text))
+    targets = [t for t, _, _ in panel.forecasts] + [t for t, _, _ in panel.realizations]
+    releases = [r for _, r, _ in panel.forecasts] + [r for _, _, r in panel.realizations]
+    assert len(set(targets)) == 14 and len(set(releases)) > 90
+    for keys in (targets, releases):
+        assert len({id(key) for key in keys}) == len(set(keys))
 
 
 class TestReadOnlyPanel:
@@ -291,6 +355,15 @@ class TestParseQuarterly:
     def test_empty_country_names_its_line(self):
         with pytest.raises(ValueError, match="^line 2: country and variable must be nonempty$"):
             parse_q([",gdp,2020,1,1.0"])
+
+    def test_duplicate_names_both_lines(self):
+        with pytest.raises(DuplicateRecordError) as info:
+            parse_q(["USA,gdp,2000,1,1.0", "USA,gdp,2000,2,2.0", "USA, gdp,02000,1,9.0"])
+        assert str(info.value) == "duplicate record: quarterly USA/gdp 2000 quarter 1 at lines 2 and 4"
+
+    def test_missing_value_is_skipped_before_the_duplicate_check(self):
+        series = parse_q(["USA,gdp,2000,1,1.0", "USA,gdp,2000,1,NA"])
+        assert series[TargetId("USA", "gdp")].growth == {(2000, 1): 1.0}
 
     def test_index_variable_set_is_configurable(self):
         series = parse_q(
