@@ -11,10 +11,10 @@ annual point forecasts feed the same interval machinery as external forecasts.
 from __future__ import annotations
 
 import math
-import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -101,9 +101,9 @@ def fit_ar1(
     min_obs: int = 20,
     window: Optional[int] = None,
 ) -> Ar1Fit:
-    """OLS fit of x_q on (1, x_{q-1}) by ``statistics.linear_regression``, over
-    the contiguous run ending at ``last_usable_quarter``. A constant run, or
-    one whose sums leave the float range, raises DegenerateRegressorError.
+    """OLS fit of x_q on (1, x_{q-1}), as CPython 3.11's ``statistics.linear_regression``
+    computes it, over the contiguous run ending at ``last_usable_quarter``. A
+    constant run, or one whose sums leave the float range, raises DegenerateRegressorError.
 
     The fit window expands over all contiguous quarters by default; pass
     ``window`` to cap it at a rolling number of observations.
@@ -124,9 +124,12 @@ def fit_ar1(
             f"{series.target.variable}"
         )
     try:
-        slope, intercept = statistics.linear_regression(x, y)
-    except (ValueError, OverflowError) as exc:  # a sum beyond the float range
+        xbar, ybar = math.fsum(x) / n_pairs, math.fsum(y) / n_pairs
+        sxy = math.fsum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y))
+        slope = sxy / math.fsum((d := xi - xbar) * d for xi in x)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:  # a sum beyond the float range, or sxx == 0
         raise DegenerateRegressorError(f"AR(1) sums out of float range: {exc}") from exc
+    intercept = ybar - slope * xbar
     if not (math.isfinite(intercept) and math.isfinite(slope)):
         raise DegenerateRegressorError("non-finite AR(1) coefficients")
     first = _q_from_index(_q_index(last_usable_quarter) - n_pairs)
@@ -156,7 +159,7 @@ def aggregate_annual(quarterly_growth: Sequence[float]) -> float:
     (1,2,3,4,3,2,1)/4. Constant quarterly growth g aggregates to 4g."""
     if len(quarterly_growth) != 7:
         raise ValueError(f"expected seven quarters, got {len(quarterly_growth)}")
-    return float(sum(w * g for w, g in zip(ANNUAL_WEIGHTS, quarterly_growth)))
+    return float(reduce(add, (w * g for w, g in zip(ANNUAL_WEIGHTS, quarterly_growth)), 0))
 
 
 def annual_window(target_year: int) -> list[Quarter]:

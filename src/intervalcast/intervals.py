@@ -11,7 +11,8 @@ quantile crossing is introduced.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import gt, lt
+from functools import reduce
+from operator import add, gt, lt
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -146,19 +147,19 @@ class IntervalGrid:
 def _block_mean(rows: Sequence[Sequence[float]], members: list[int]) -> list[float]:
     """Level-wise means of the member positions' rows, summed in member order."""
     k = len(members)
-    return [total / k for total in map(sum, zip(*[rows[p] for p in members]))]
+    return [reduce(add, column, 0) / k for column in zip(*[rows[p] for p in members])]
 
 
 def pool_level_rows(
     lowers: Sequence[Sequence[float]], uppers: Sequence[Sequence[float]]
-) -> tuple[list[list[float]], list[list[float]], tuple[int, ...]]:
+) -> tuple[list[tuple[float, ...]], list[tuple[float, ...]], tuple[int, ...]]:
     """Pool-adjacent-violators over positions (horizons), jointly at all levels.
 
     ``lowers[p]`` and ``uppers[p]`` hold position p's offsets, one per level.
     A violation at any level (an upper mean above the next block's or, unless
     all offsets are symmetric, a lower mean below it) merges the two blocks at
     every level and on both sides; scanning restarts from the front after each
-    merge. Returns each position's block mean (-0.0 becomes 0.0) as one row
+    merge. Returns each position's block mean (-0.0 becomes 0.0) as one tuple
     shared by the block's members, and the block sizes."""
     symmetric = all(lo == -up for lrow, urow in zip(lowers, uppers) for lo, up in zip(lrow, urow))
     blocks = [[p] for p in range(len(uppers))]
@@ -175,8 +176,8 @@ def pool_level_rows(
             r = 0
         else:
             r += 1
-    pooled_lo = [mean for members, mean in zip(blocks, lo_means) for _ in members]
-    pooled_up = [mean for members, mean in zip(blocks, up_means) for _ in members]
+    pooled_lo = [mean for members, mean in zip(blocks, map(tuple, lo_means)) for _ in members]
+    pooled_up = [mean for members, mean in zip(blocks, map(tuple, up_means)) for _ in members]
     return pooled_lo, pooled_up, tuple(len(members) for members in blocks)
 
 

@@ -156,8 +156,12 @@ def parse_exclusions(tokens: Iterable[str]) -> tuple[tuple[str, int, int], ...]:
 
 
 def parse_span(token: str) -> tuple[int, int]:
-    first, _, last = token.partition("-")
-    return (int(first), int(last or first))
+    """'FIRST-LAST', or 'YEAR' for one year; a side left empty is an error."""
+    first, dash, last = token.partition("-")
+    try:
+        return (int(first), int(last if dash else first))
+    except ValueError:
+        raise ValueError(f"bad span {token!r}: expected FIRST-LAST or YEAR") from None
 
 
 def load_config(path: Optional[str] = None, **overrides: object) -> RunConfig:
@@ -221,11 +225,13 @@ def config_json(config: RunConfig) -> str:
 
 def outstanding_cells(origin: ReleaseDate) -> dict[Horizon, tuple[ReleaseDate, int]]:
     """Most recent (forecast-origin, target-year) per horizon as of ``origin``,
-    in horizon order: each from the latest release of its season up to ``origin``."""
+    in horizon order: ``origin`` itself, or one release of the other season per grid."""
+    spring = origin.season is Season.SPRING  # the other season's latest release: last fall, or this spring
+    other = ReleaseDate(origin.year - spring, Season.FALL if spring else Season.SPRING)
     cells: dict[Horizon, tuple[ReleaseDate, int]] = {}
     for horizon in HORIZONS:
         season, offset = horizon.value  # one enum read for both fields, once per grid
-        issued = ReleaseDate(origin.year - (season is Season.FALL and origin.season is Season.SPRING), season)
+        issued = origin if season is origin.season else other
         cells[horizon] = (issued, issued.year + offset)
     return cells
 
@@ -257,6 +263,12 @@ class ErrorHistory:
         self.settled = YearRow(lambda key: YearRow(
             lambda year: _settled_entry(truths.settled(key[0], year), points[key[:2]], year, key[2])))
         self.truths = YearRow(lambda key: YearRow(lambda year: truths(key[0], year, key[1])))
+        self.windows: dict = {}  # one tuple per distinct year window of its grids, one int per year
+
+    def window(self, years: tuple[int, ...]) -> tuple[int, ...]:
+        """The table's tuple equal to ``years``, made of the table's year ints."""
+        table = self.windows
+        return table.get(years) or table.setdefault(years, tuple([table.setdefault(y, y) for y in years]))
 
     def error_set(
         self,
@@ -318,8 +330,8 @@ def build_grid(
             forecast_origin=forecast_origin,
             lower=lower,
             upper=upper,
-            source_years=errs.source_years,
-            skipped_years=errs.skipped_years,
+            source_years=history.window(errs.source_years),
+            skipped_years=history.window(errs.skipped_years),
         )
         for (horizon, point, target_year, forecast_origin, errs), lower, upper
         in zip(found, lowers, uppers)

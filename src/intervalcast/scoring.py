@@ -14,9 +14,9 @@ import io
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from intervalcast.domain import HORIZONS, Horizon, ReleaseDate
@@ -68,7 +68,7 @@ class WisWeights:
 
     @cached_property
     def total(self) -> float:
-        return sum(self.weights)
+        return reduce(add, self.weights, 0)
 
     @cached_property
     def keys(self) -> tuple[str, ...]:
@@ -207,8 +207,8 @@ def _fmt(value: object) -> str:
 
 
 def mean(values: Sequence[float]) -> float:
-    """The arithmetic mean, summed left to right: tuning's and the report's."""
-    return sum(values) / len(values)
+    """The arithmetic mean, summed left to right on every CPython: tuning's and the report's."""
+    return reduce(add, values, 0) / len(values)
 
 
 def _row_record(row: dict, weights: WisWeights) -> tuple:
@@ -216,7 +216,7 @@ def _row_record(row: dict, weights: WisWeights) -> tuple:
     components, then per level its closed-interval hit (as ``coverage_rate``),
     its interval length and its total summed from the parts."""
     intervals, scores, outcome = row["intervals"], row["scores"], row["outcome"]
-    hits, lengths, totals, dispersion, over, under = [], [], [], [], [], []
+    hits, lengths, totals, dispersion, over, under = [], [], [], 0, 0, 0  # each sum from 0, left to right
     for key, w in zip(weights.keys, weights.weights):
         interval, parts = intervals[key], scores[key]
         lower, upper = interval["lower"], interval["upper"]
@@ -224,14 +224,13 @@ def _row_record(row: dict, weights: WisWeights) -> tuple:
         hits.append(lower <= outcome <= upper)
         lengths.append(upper - lower)
         totals.append(d + o + u)
-        dispersion.append(w * d)
-        over.append(w * o)
-        under.append(w * u)
+        dispersion += w * d
+        over += w * o
+        under += w * u
     # Component means are taken on the same weighted-average scale as the WIS
     # so that dispersion + over + under sums to the mean WIS per cell.
     total = weights.total
-    return (row["wis"], sum(dispersion) / total, sum(over) / total, sum(under) / total,
-            *hits, *lengths, *totals)
+    return (row["wis"], dispersion / total, over / total, under / total, *hits, *lengths, *totals)
 
 
 def _cell_stats(records: Sequence[tuple], levels: tuple[float, ...]) -> CellStats:

@@ -10,13 +10,14 @@ Each untraced round also compares the SHA-256 of its round-0 output files
 (which ``bench/run.py`` keeps in ``.bench_work/<workload>/round0/``) with the
 table in ``bench_seed1_sha256.json``, so a change to any gated byte fails
 tier-1. The table holds every round-0 file: all 28 of ``paper`` (its AR(1)
-values included, which the standard library fits with no BLAS kernel
+values included, which the package fits in pure Python with no BLAS kernel
 chosen at run time), both ``tune`` files and all five ``wide`` files. The
 host inputs that remain are libm's ``exp``, which makes the cpi levels
 ``bench/gen.py`` writes, and libm's ``log``, which turns them into growth
-rates in ``ingest._log_growth``. AR(1) values also follow the CPython minor
-version (see the README's ``benchmark`` line), so the table holds for the
-3.11 that CI runs.
+rates in ``ingest._log_growth``. The CPython minor version is not one: the
+AR(1) fit does its own sums and every float sum that feeds an output adds
+left to right (see the README's ``benchmark`` line), so the table holds on
+3.10 to 3.13. CI runs these rounds on 3.11 and on 3.13.
 """
 
 from __future__ import annotations

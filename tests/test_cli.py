@@ -299,6 +299,19 @@ class TestBadInput:
         assert code == 1
         self._assert_one_line_error(capsys, key)
 
+    @pytest.mark.parametrize("flag, value, token", [
+        # These ran: 2013- as a one-year holdout and JPN:2021- as 2021 only;
+        # -2023 printed int()'s message without naming the span.
+        ("--holdout-span", "2013-", "'2013-'"), ("--holdout-span", "-2023", "'-2023'"),
+        ("--train-span", "1990-", "'1990-'"), ("--exclude", "JPN:2021-", "'2021-'"),
+        ("--holdout-span", "2013-20x", "'2013-20x'"),
+    ])
+    def test_span_with_an_empty_or_bad_side_exits_one(self, panel_path, tmp_path, capsys, flag, value, token):
+        code = main(["backtest", "--data", panel_path, "--out", str(tmp_path / "out"), flag, value])
+        assert code == 1
+        self._assert_one_line_error(capsys, f"bad span {token}: expected FIRST-LAST or YEAR")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [("out", 5), ("data", ["panel.csv"]), ("data", 7)])
     def test_path_of_wrong_type_exits_one(self, panel_path, tmp_path, capsys, key, value):
         # The flag of ``key`` would override the config value, so it is left out.

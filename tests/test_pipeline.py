@@ -76,6 +76,9 @@ class TestConfig:
     def test_parse_span(self):
         assert parse_span("1990-2012") == (1990, 2012)
         assert parse_span("2020") == (2020, 2020)
+        for token in ("2013-", "-2023", "-", ""):
+            with pytest.raises(ValueError, match=f"^bad span '{token}': expected FIRST-LAST or YEAR$"):
+                parse_span(token)
 
     def test_load_config_file_and_overrides(self, tmp_path):
         path = tmp_path / "config.json"
@@ -281,6 +284,32 @@ class TestRunBacktest:
             for row in result.audit
         ]
         assert len(keys) == len(set(keys))
+
+    def test_kept_grids_share_windows_pooled_rows_and_releases(self):
+        # Within one target's history, equal windows are one tuple and each
+        # year is one int; a pooled block's cells hold one lower and one upper
+        # row; a fresh cell's release is the grid's origin, and the cells of
+        # the other season share one release.
+        result = run_backtest(RunConfig(), backtest_panel(2))
+        tables: dict[TargetId, tuple[dict, dict]] = {}
+        n_cells = n_merged = 0
+        for grid in result.grids:
+            windows, years = tables.setdefault(grid.target, ({}, {}))
+            cells = [grid.cells[h] for h in grid.horizons]
+            n_cells += len(cells)
+            for cell in cells:
+                assert windows.setdefault(cell.source_years, cell.source_years) is cell.source_years
+                assert all(years.setdefault(year, year) is year for year in cell.source_years)
+            start = 0
+            for size in grid.blocks:
+                block, start = cells[start:start + size], start + size
+                n_merged += size > 1
+                assert all(c.lower is block[0].lower and c.upper is block[0].upper for c in block)
+            assert all(grid.cells[h].forecast_origin is grid.origin
+                       for h in fresh_horizons(grid.origin) if h in grid.cells)
+            assert len({id(c.forecast_origin) for c in cells if c.forecast_origin is not grid.origin}) <= 1
+        assert len(tables) == 2 and n_merged > 0
+        assert sum(len(windows) for windows, _ in tables.values()) < n_cells
 
     def test_target_years_within_holdout_and_origins_consistent(self):
         panel = backtest_panel(2)
