@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from dataclasses import fields
-from typing import NoReturn, Optional
+from typing import Any, Callable, NoReturn, Optional, TextIO
 
 from intervalcast.domain import ReleaseDate, Season
 from intervalcast.errorsets import ErrorMethod
@@ -66,18 +66,24 @@ def _config_from_args(args: argparse.Namespace, config_path: Optional[str] = Non
     return load_config(args.config or config_path, **overrides)
 
 
+def _read_csv(path: str, parse: Callable[[TextIO], Any]) -> Any:
+    """``parse`` of the UTF-8 CSV file at ``path``, after the byte-order mark a
+    spreadsheet export starts with, if any; text that is not UTF-8 names the file."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        try:
+            return parse(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_panel(path: Optional[str]) -> ForecastPanel:
     if not path:
         raise ValueError("--data (or config 'data') is required")
-    with open(path, encoding="utf-8", newline="") as fh:
-        return parse_forecast_panel(fh, source=path)
+    return _read_csv(path, lambda fh: parse_forecast_panel(fh, source=path))
 
 
 def _load_quarterly(path: Optional[str]):
-    if not path:
-        return None
-    with open(path, encoding="utf-8", newline="") as fh:
-        return parse_quarterly(fh)
+    return _read_csv(path, parse_quarterly) if path else None
 
 
 def _load_external(path: Optional[str]) -> Optional[ForecastPanel]:

@@ -17,9 +17,8 @@ class Season(Enum):
     SPRING = "S"
     FALL = "F"
 
-    @property
-    def rank(self) -> int:
-        return 0 if self is Season.SPRING else 1
+    def __init__(self, token: str) -> None:
+        self.rank = 0 if token == "S" else 1  # a year's order: spring, then fall
 
     @classmethod
     def parse(cls, token: str) -> "Season":
@@ -72,14 +71,9 @@ class Horizon(Enum):
     FALL_NEXT = (Season.FALL, 1)
     SPRING_NEXT = (Season.SPRING, 1)
 
-    @property
-    def season(self) -> Season:
-        return self.value[0]
-
-    @property
-    def year_offset(self) -> int:
-        """0 for current-year targets, 1 for next-year targets."""
-        return self.value[1]
+    def __init__(self, season: Season, year_offset: int) -> None:
+        self.season = season
+        self.year_offset = year_offset  # 0 for current-year targets, 1 for next-year ones
 
     @property
     def index(self) -> int:

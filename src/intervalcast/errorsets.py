@@ -12,6 +12,8 @@ import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from operator import gt, le
 from typing import Any, Optional, Protocol
 
 from intervalcast.domain import Horizon, ReleaseDate, TargetId
@@ -84,9 +86,9 @@ class ErrorSet:
             raise ValueError("errors and source_years lengths differ")
         if len(set(self.source_years)) != len(self.source_years):
             raise ValueError("source_years must be pairwise distinct")
-        if any(y >= self.anchor_year for y in self.source_years):
+        if any(map(le, repeat(self.anchor_year), self.source_years)):
             raise ValueError("source years must precede the anchor year")
-        if self.method is ErrorMethod.ABSOLUTE and any(e < 0 for e in self.errors):
+        if self.method is ErrorMethod.ABSOLUTE and any(map(gt, repeat(0), self.errors)):
             raise ValueError("absolute error sets must be nonnegative")
 
     def __len__(self) -> int:

@@ -90,9 +90,13 @@ class ForecastPanel:
     def settled_truth(self, target: TargetId, year: int) -> Optional[tuple[ReleaseDate, float]]:
         """The fall release after ``year`` and its value, the year's truth at
         every release from then on in both truth modes; None when absent."""
-        fall_after = ReleaseDate(year + 1, Season.FALL)
-        truth = self._realizations.get((target, year, fall_after))
-        return None if truth is None else (fall_after, truth)
+        return self._settled.get((target, year))
+
+    @cached_property
+    def _settled(self) -> dict[tuple[TargetId, int], tuple[ReleaseDate, float]]:
+        """``settled_truth`` of each (target, year) that has one, indexed once."""
+        return {(t, y): (v, value) for (t, y, v), value in self._realizations.items()
+                if v.season is Season.FALL and v.year == y + 1}
 
     def vintages_for(self, target: TargetId, target_year: int) -> list[tuple[ReleaseDate, float]]:
         return list(self._vintage_index.get((target, target_year), ()))

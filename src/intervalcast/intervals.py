@@ -11,7 +11,6 @@ quantile crossing is introduced.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from operator import add, gt, lt
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -57,7 +56,7 @@ class PredictionInterval:
 
 
 def offset_taus(levels: Sequence[float], method: ErrorMethod) -> tuple[float, ...]:
-    """The quantile levels that ``level_rows`` reads."""
+    """The quantile levels that ``offset_rows`` turns into offsets at ``levels``."""
     if method is ErrorMethod.ABSOLUTE:
         return tuple(levels)
     return tuple(t for tau in levels for t in ((1.0 - tau) / 2.0, (1.0 + tau) / 2.0))
@@ -70,28 +69,18 @@ def offset_rows(qs: list[float], method: ErrorMethod) -> tuple[list[float], list
     return qs[0::2], qs[1::2]
 
 
-def level_rows(
-    errs: ErrorSet,
-    levels: Sequence[float],
-    method: QuantileMethod = QuantileMethod.LINEAR,
-) -> tuple[list[float], list[float]]:
-    """Lower and upper offsets at every level of ``levels``, read from one
-    sorted copy of the error window.
-
-    Absolute errors give symmetric offsets +-q_tau; directional errors give
-    the (1-tau)/2 and (1+tau)/2 quantiles of the signed errors.
-    """
-    qs = empirical_quantiles(errs.errors, offset_taus(levels, errs.method), method)
-    return offset_rows(qs, errs.method)
-
-
 def offsets_for(
     errs: ErrorSet,
     levels: Sequence[float],
     method: QuantileMethod = QuantileMethod.LINEAR,
 ) -> dict[float, IntervalOffsets]:
-    """``level_rows`` as offsets keyed by level."""
-    return dict(zip(levels, map(IntervalOffsets, *level_rows(errs, levels, method))))
+    """Offsets keyed by level, read from one sorted copy of the error window.
+
+    Absolute errors give symmetric offsets +-q_tau; directional errors give
+    the (1-tau)/2 and (1+tau)/2 quantiles of the signed errors.
+    """
+    qs = empirical_quantiles(errs.errors, offset_taus(levels, errs.method), method)
+    return dict(zip(levels, map(IntervalOffsets, *offset_rows(qs, errs.method))))
 
 
 @dataclass(frozen=True)
@@ -144,12 +133,6 @@ class IntervalGrid:
         return tuple(h for h in HORIZONS if h in self.cells)
 
 
-def _block_mean(rows: Sequence[Sequence[float]], members: list[int]) -> list[float]:
-    """Level-wise means of the member positions' rows, summed in member order."""
-    k = len(members)
-    return [reduce(add, column, 0) / k for column in zip(*[rows[p] for p in members])]
-
-
 def pool_level_rows(
     lowers: Sequence[Sequence[float]], uppers: Sequence[Sequence[float]]
 ) -> tuple[list[tuple[float, ...]], list[tuple[float, ...]], tuple[int, ...]]:
@@ -158,22 +141,29 @@ def pool_level_rows(
     ``lowers[p]`` and ``uppers[p]`` hold position p's offsets, one per level.
     A violation at any level (an upper mean above the next block's or, unless
     all offsets are symmetric, a lower mean below it) merges the two blocks at
-    every level and on both sides; scanning restarts from the front after each
-    merge. Returns each position's block mean (-0.0 becomes 0.0) as one tuple
+    every level and on both sides. A block keeps running sums per level, added
+    left to right from 0, so a merge adds only the absorbed block's rows. Only
+    the merged block and its left neighbour can newly violate, so the scan
+    steps back one block rather than to the front (Best & Chakravarti 1990).
+    Returns each position's block mean (-0.0 becomes 0.0) as one tuple
     shared by the block's members, and the block sizes."""
     symmetric = all(lo == -up for lrow, urow in zip(lowers, uppers) for lo, up in zip(lrow, urow))
     blocks = [[p] for p in range(len(uppers))]
-    # A lone position's mean as ``_block_mean`` sums it: 0 + x.
-    lo_means = [[0 + x for x in row] for row in lowers]
-    up_means = [[0 + x for x in row] for row in uppers]
+    # A lone position's sums and means: 0 + x.
+    lo_sums, up_sums = ([[0 + x for x in row] for row in rows] for rows in (lowers, uppers))
+    lo_means, up_means = lo_sums[:], up_sums[:]
     r = 0
     while r < len(blocks) - 1:
         wider = any(map(gt, up_means[r], up_means[r + 1]))
         if wider or (not symmetric and any(map(lt, lo_means[r], lo_means[r + 1]))):
+            lo, up = lo_sums[r], up_sums[r]
+            for p in blocks[r + 1]:
+                lo, up = list(map(add, lo, lowers[p])), list(map(add, up, uppers[p]))
             blocks[r:r + 2] = [blocks[r] + blocks[r + 1]]
-            lo_means[r:r + 2] = [_block_mean(lowers, blocks[r])]
-            up_means[r:r + 2] = [_block_mean(uppers, blocks[r])]
-            r = 0
+            k = len(blocks[r])
+            lo_sums[r:r + 2], up_sums[r:r + 2] = [lo], [up]
+            lo_means[r:r + 2], up_means[r:r + 2] = [[s / k for s in lo]], [[s / k for s in up]]
+            r = max(r - 1, 0)
         else:
             r += 1
     pooled_lo = [mean for members, mean in zip(blocks, map(tuple, lo_means)) for _ in members]

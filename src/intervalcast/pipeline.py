@@ -60,13 +60,12 @@ from intervalcast.intervals import (
     GridCell,
     IntervalGrid,
     enforce_horizon_monotonicity,  # noqa: F401  (looked up here by the benchmark's tracer)
-    level_rows,
     offset_rows,
     offset_taus,
     offsets_for,  # noqa: F401  (likewise)
     pool_level_rows,
 )
-from intervalcast.quantile import InvalidErrorValueError, QuantileMethod, index_table, read_sorted
+from intervalcast.quantile import InvalidErrorValueError, QuantileMethod, index_table, read_sorted, sorted_samples
 from intervalcast.scoring import (
     EvaluationReport,
     WisWeights,
@@ -319,7 +318,10 @@ def build_grid(
         found.append((horizon, point, target_year, forecast_origin, errs))
     if not found:
         return None, gaps
-    lowers, uppers = zip(*(level_rows(f[-1], config.levels, config.quantile_method) for f in found))
+    # Every set holds the history's window, so one index table serves the grid.
+    method = config.error_method
+    table = index_table(history.max_window, offset_taus(config.levels, method), config.quantile_method)
+    lowers, uppers = zip(*(offset_rows(read_sorted(sorted_samples(f[-1].errors), table), method) for f in found))
     blocks: tuple[int, ...] = (1,)
     if len(found) > 1:  # a lone cell keeps its offsets as read
         lowers, uppers, blocks = pool_level_rows(lowers, uppers)

@@ -62,12 +62,18 @@ def empirical_quantiles(
 ) -> list[float]:
     """``empirical_quantile`` at each level of ``taus``, from one sorted copy
     of ``samples`` checked once."""
+    xs = sorted_samples(samples)
+    return read_sorted(xs, index_table(len(xs), tuple(map(float, taus)), method))
+
+
+def sorted_samples(samples: Sequence[float]) -> list[float]:
+    """``samples`` as ascending floats, checked nonempty and finite."""
     if len(samples) == 0:
         raise EmptyErrorSetError("empty error set: no samples to take a quantile of")
     xs = sorted(map(float, samples))
     if not all(map(math.isfinite, xs)):
         raise InvalidErrorValueError("invalid error value: samples must be finite")
-    return read_sorted(xs, index_table(len(xs), tuple(map(float, taus)), method))
+    return xs
 
 
 IndexTable = tuple[tuple[int, Optional[float]], ...]

@@ -287,7 +287,8 @@ def audit_row(
     ``outcome`` at each of ``weights``' levels: the backtest's one scored
     record. Each interval is the point plus its offsets, flagged
     ``degenerate`` when its ends meet and ``excludes_center`` when the point
-    lies outside, and each score's total is the sum of its parts."""
+    lies outside, and each score's total is the sum of its parts. The year
+    and block lists are the cell's and the grid's own (shared) tuples."""
     if grid.levels != weights.levels:
         raise ValueError(f"grid levels {grid.levels} differ from the scored levels {weights.levels}")
     cell = grid.cells[horizon]
@@ -316,9 +317,9 @@ def audit_row(
         "target_year": cell.target_year,
         "point": point,
         "outcome": outcome,
-        "source_years": list(cell.source_years),
-        "skipped_years": list(cell.skipped_years),
-        "pava_blocks": list(grid.blocks or ()),
+        "source_years": cell.source_years,
+        "skipped_years": cell.skipped_years,
+        "pava_blocks": grid.blocks or (),
         "intervals": intervals,
         "scores": scores,
         "wis": wis_of_totals(totals, weights),
@@ -442,9 +443,12 @@ def write_audit(rows: Iterable[dict[str, object]], fh) -> None:
     text, nonfinite = encode_basestring_ascii, _NONFINITE.get
     bounds, score_fields = itemgetter("lower", "upper"), itemgetter(*_SCORE_FIELDS)
     templates: dict[tuple, tuple[str, list[str], list[str]]] = {}
+    lists: dict[tuple[int, ...], str] = {}  # each distinct int list's text, keyed by its value
 
-    def ints(values: list[int]) -> str:
-        return "[\n      " + ",\n      ".join(map(int.__repr__, values)) + "\n    ]" if values else "[]"
+    def ints(values: Sequence[int]) -> str:
+        if (found := lists.get(key := tuple(values))) is None:  # a tuple is its own key
+            found = lists[key] = "[\n      " + ",\n      ".join(map(int.__repr__, key)) + "\n    ]" if key else "[]"
+        return found
 
     sep = "[\n"
     for row in rows:

@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from intervalcast.domain import HORIZONS
 from intervalcast.pipeline import (
     RunConfig,
     evaluation_report,
@@ -41,7 +42,8 @@ SPECIAL_FLOATS = [
 floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 numbers = st.one_of(floats, floats.map(np.float64))  # numpy scalars write as plain floats
 texts = st.one_of(st.sampled_from(["CAN", "Ünïcødé", "\x00\n\t\"\\/", " \ud800", ""]), st.text())
-years = st.lists(st.integers(-10**6, 10**6), max_size=5)
+# ``audit_row`` keeps the cells' tuples; rows read back from JSON hold lists.
+years = st.lists(st.integers(-10**6, 10**6), max_size=5).flatmap(lambda v: st.sampled_from([v, tuple(v)]))
 # Levels whose string order differs from their numeric order (1e-05 < 0.05
 # numerically, "0.05" < "1e-05" as strings).
 levels = st.lists(
@@ -102,6 +104,25 @@ def test_real_backtest_audit_is_json_dumps_text(tmp_path):
     assert written(rows) == expected
     write_backtest_outputs(result, str(tmp_path))
     assert (tmp_path / "audit.json").read_bytes() == expected.encode("ascii")
+
+
+def test_rows_keep_the_cells_shared_year_and_block_tuples():
+    """A row holds its cell's ``source_years`` and ``skipped_years`` and its
+    grid's ``blocks`` themselves, not fresh lists, and writes them as lists."""
+    panel, _ = _golden_inputs()
+    result = run_backtest(RunConfig(window=20, train_span=(1985, 2004), holdout_span=(2005, 2015)), panel)
+    grids = {(grid.target.country, grid.target.variable, str(grid.origin)): grid for grid in result.grids}
+    horizons = {h.label: h for h in HORIZONS}
+    rows = result.audit
+    for row in rows:
+        grid = grids[row["country"], row["variable"], row["grid_origin"]]
+        cell = grid.cells[horizons[row["horizon"]]]
+        assert row["source_years"] is cell.source_years
+        assert row["skipped_years"] is cell.skipped_years
+        assert row["pava_blocks"] is grid.blocks
+    assert any(row["skipped_years"] for row in rows) and any(max(row["pava_blocks"]) > 1 for row in rows)
+    assert written(rows) == dumped(rows)
+    assert isinstance(json.loads(written(rows))[0]["source_years"], list)
 
 
 def test_report_rebuilt_from_written_audit_is_byte_identical(tmp_path):

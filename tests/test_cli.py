@@ -5,6 +5,7 @@ import math
 import os
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +332,42 @@ class TestBadInput:
                      "--origin-year", "2023", "--origin-season", "F"])
         assert code == 1
         self._assert_one_line_error(capsys, "duplicate record: quarterly AAA/gdp 2000 quarter 1 at lines 2 and 3")
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def _forecast_inputs(panel_path, root):
+        """A panel and a quarterly CSV for a two-method forecast, and its flags."""
+        quarters = [f"{c},gdp,{y},{q},{0.5 + 0.4 * math.sin(3 * y + q + len(c)):.4f}"
+                    for c in ("AAA", "BBB") for y in range(1960, 2024) for q in range(1, 5)]
+        quarterly = root / "quarterly.csv"
+        quarterly.write_text("\n".join(["country,variable,year,quarter,value", *quarters]) + "\n")
+        panel = root / "panel.csv"
+        panel.write_bytes(Path(panel_path).read_bytes())
+        flags = ["--methods", "imf,ar", "--origin-year", "2023", "--origin-season", "F"]
+        return {"--data": panel, "--quarterly-data": quarterly}, flags
+
+    @pytest.mark.parametrize("flag", ["--data", "--quarterly-data"])
+    def test_csv_with_a_byte_order_mark_reads_as_without(self, panel_path, tmp_path, capsys, flag):
+        # Spreadsheet CSV exports start with one; it was read into the first header cell.
+        paths, flags = self._forecast_inputs(panel_path, tmp_path)
+        args = [arg for name, path in paths.items() for arg in (name, str(path))]
+        plain = main(["forecast", *args, *flags, "--out", str(tmp_path / "plain")])
+        assert plain in (0, 2)
+        paths[flag].write_bytes(b"\xef\xbb\xbf" + paths[flag].read_bytes())
+        assert main(["forecast", *args, *flags, "--out", str(tmp_path / "marked")]) == plain
+        assert capsys.readouterr().err == ""
+        for name in ("intervals_2023F.csv", "gaps_2023F.json"):
+            assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        assert b",ar," in (tmp_path / "marked" / "intervals_2023F.csv").read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--data", "--quarterly-data"])
+    def test_csv_that_is_not_utf8_names_the_file(self, panel_path, tmp_path, capsys, flag):
+        paths, flags = self._forecast_inputs(panel_path, tmp_path)
+        paths[flag].write_bytes(paths[flag].read_bytes().replace(b"AAA", b"\xc5AA"))  # Latin-1 text
+        code = main(["forecast", *[arg for name, path in paths.items() for arg in (name, str(path))],
+                     *flags, "--out", str(tmp_path / "out")])
+        assert code == 1
+        self._assert_one_line_error(capsys, f"{paths[flag]}: 'utf-8' codec can't decode byte 0xc5")
         assert not (tmp_path / "out").exists()
 
     def test_generated_at_of_wrong_type_exits_one(self, panel_path, tmp_path, capsys):

@@ -1,3 +1,8 @@
+import math
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from intervalcast.domain import Horizon, ReleaseDate, Season, TargetId
@@ -46,6 +51,34 @@ def test_error_set_invariants():
     with pytest.raises(ValueError):
         ErrorSet(TARGET, Horizon.FALL_CURRENT, 2020, ErrorMethod.DIRECTIONAL,
                  errors=(1.0, -0.5), source_years=(2019, 2019))
+
+
+def _abs_set(errors, source_years=(2019, 2018), anchor=2020):
+    return ErrorSet(TARGET, Horizon.FALL_CURRENT, anchor, ErrorMethod.ABSOLUTE,
+                    errors=errors, source_years=source_years)
+
+
+@pytest.mark.parametrize("errors, source_years", [
+    ((math.nan, -1.0), (2019, 2018)),  # a negative error after a NaN
+    ((-1.0, math.nan), (2019, 2018)),
+    ((1.0, -5e-324), (2019, 2018)),
+    ((1.0, 2.0), (2020, 2018)),  # a source year equal to the anchor
+    ((1.0, 2.0), (2018, 2021)),
+])
+def test_error_set_checks_reject(errors, source_years):
+    with pytest.raises(ValueError):
+        _abs_set(errors, source_years)
+
+
+@pytest.mark.parametrize("errors, source_years", [
+    ((1, 0), (2019, 2018)),  # int errors
+    ((-0.0, 0.0), (2019, 2018)),
+    ((math.nan, 1.0), (2019, 2018)),  # NaN is not negative; quantiles reject it later
+    ((Fraction(1, 3), Decimal("0.5")), (2019, 2018)),
+    ((np.int64(1), np.float32(0.5)), (np.int64(2019), np.int16(2018))),
+])
+def test_error_set_checks_accept(errors, source_years):
+    assert _abs_set(errors, source_years).errors == errors
 
 
 def test_window_fall_origin_current_year():

@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,12 +199,14 @@ def _is_symmetric(columns):
     )
 
 
+def block_mean(vals, members):
+    """The members' mean, summed left to right from 0 as ``pool_level_rows``
+    sums (the built-in ``sum`` of floats is compensated from CPython 3.12 on)."""
+    return reduce(add, (vals[i] for i in members), 0) / len(members)
+
+
 def _violates(columns, blocks, r, symmetric):
     """Whether adjacent blocks r, r+1 break the horizon ordering at any level."""
-
-    def block_mean(vals, members):
-        return sum(vals[i] for i in members) / len(members)
-
     for lows, ups in columns.values():
         if block_mean(ups, blocks[r]) > block_mean(ups, blocks[r + 1]):
             return True
@@ -216,8 +221,8 @@ def _apply_blocks(columns, blocks):
         new_lo = list(lows)
         new_up = list(ups)
         for members in blocks:
-            mlo = sum(lows[i] for i in members) / len(members)
-            mup = sum(ups[i] for i in members) / len(members)
+            mlo = block_mean(lows, members)
+            mup = block_mean(ups, members)
             for i in members:
                 new_lo[i] = mlo
                 new_up[i] = mup
@@ -254,7 +259,7 @@ OFFSET = st.one_of(
 
 @st.composite
 def level_columns(draw):
-    positions = draw(st.integers(1, 4))
+    positions = draw(st.integers(1, 8))
     levels = [round(0.1 * k, 1) for k in range(1, draw(st.integers(1, 9)) + 1)]
     shape = draw(st.sampled_from(["symmetric", "asymmetric", "zero"]))
     cols = {}
@@ -272,9 +277,9 @@ def level_columns(draw):
     return cols
 
 
-@settings(max_examples=400, deadline=None)
-@given(cols=level_columns())
-def test_row_pava_matches_rescanning_oracle_exactly(cols):
+def assert_matches_rescanning_oracle(cols):
+    """``pool_level_rows`` gives the oracle's blocks and the same floats, and
+    each block's members share one lower and one upper tuple."""
     expected, expected_blocks = rescanning_pool(cols)
     levels = list(cols)
     lowers, uppers, blocks = pool_level_rows(
@@ -285,9 +290,28 @@ def test_row_pava_matches_rescanning_oracle_exactly(cols):
     for k, tau in enumerate(levels):
         assert repr([row[k] for row in lowers]) == repr(expected[tau][0])
         assert repr([row[k] for row in uppers]) == repr(expected[tau][1])
+    start = 0
+    for size in blocks:
+        for p in range(start, start + size):
+            assert lowers[p] is lowers[start] and uppers[p] is uppers[start]
+        start += size
     corrected, adapter_blocks = pool_adjacent_horizons(cols)
     assert adapter_blocks == expected_blocks
     assert repr(corrected) == repr(expected)
+    return corrected, blocks
+
+
+@settings(max_examples=400, deadline=None)
+@given(cols=level_columns())
+def test_row_pava_matches_rescanning_oracle_exactly(cols):
+    assert_matches_rescanning_oracle(cols)
+
+
+def test_a_merge_that_exposes_a_violation_one_block_back_pools_it():
+    # 2.5 <= 3.0 holds until 3.0 and 1.0 pool to 2.0; then 2.5 > 2.0 pools all three.
+    corrected, blocks = assert_matches_rescanning_oracle(symmetric_columns({0.5: [2.5, 3.0, 1.0]}))
+    assert blocks == (3,)
+    assert corrected[0.5][1] == [6.5 / 3] * 3
 
 
 def pool_adjacent_horizons_stack(columns):
