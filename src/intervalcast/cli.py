@@ -109,7 +109,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     panel = _load_panel(config.data)
     windows = list(range(4, 12))
-    if args.grid_windows:
+    if args.grid_windows is not None:  # an empty value is a bad value, not an absent one
         try:
             windows = [int(v) for v in args.grid_windows.split(",")]
         except ValueError:

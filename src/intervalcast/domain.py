@@ -1,10 +1,23 @@
-"""Core vocabulary: release dates, horizons, targets and confidence levels."""
+"""Core vocabulary: release dates, horizons, targets, confidence levels and the memo ``Table``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
+from typing import Any, Callable
+
+
+class Table(dict):
+    """``key -> fill(key)``, each value computed on the key's first
+    subscription (``table[key]``) and kept; a key whose fill raises is not kept."""
+
+    def __init__(self, fill: Callable[[Any], Any]) -> None:
+        self.fill = fill
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.fill(key)
+        return value
 
 
 class UnsupportedHorizonError(ValueError):
@@ -74,15 +87,11 @@ class Horizon(Enum):
     def __init__(self, season: Season, year_offset: int) -> None:
         self.season = season
         self.year_offset = year_offset  # 0 for current-year targets, 1 for next-year ones
+        self.label = f"{season.name.lower()}-{'next' if year_offset else 'current'}"
 
     @property
     def index(self) -> int:
-        return _HORIZON_ORDER.index(self)
-
-    @property
-    def label(self) -> str:
-        when = "current" if self.year_offset == 0 else "next"
-        return f"{self.season.name.lower()}-{when}"
+        return HORIZONS.index(self)
 
     def origin_for(self, target_year: int) -> ReleaseDate:
         """The release date at which a forecast for ``target_year`` at this
@@ -93,14 +102,7 @@ class Horizon(Enum):
         return self.index < other.index
 
 
-_HORIZON_ORDER = (
-    Horizon.FALL_CURRENT,
-    Horizon.SPRING_CURRENT,
-    Horizon.FALL_NEXT,
-    Horizon.SPRING_NEXT,
-)
-
-HORIZONS = _HORIZON_ORDER
+HORIZONS = tuple(Horizon)
 
 
 def horizon_of(origin: ReleaseDate, target_year: int) -> Horizon:
@@ -110,7 +112,7 @@ def horizon_of(origin: ReleaseDate, target_year: int) -> Horizon:
         raise UnsupportedHorizonError(
             f"unsupported horizon: origin {origin} cannot target year {target_year}"
         )
-    for h in _HORIZON_ORDER:
+    for h in HORIZONS:
         if h.season is origin.season and h.year_offset == offset:
             return h
     raise AssertionError("unreachable")  # pragma: no cover

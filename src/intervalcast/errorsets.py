@@ -95,19 +95,6 @@ class ErrorSet:
         return len(self.errors)
 
 
-class YearRow(dict[int, Any]):
-    """``year -> value`` of one series, each year computed by ``fill`` on its
-    first subscription (``row[year]``)."""
-
-    def __init__(self, fill: Callable[[int], Any]) -> None:
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, year: int) -> Any:
-        value = self[year] = self.fill(year)
-        return value
-
-
 def year_error(
     realized: Optional[float], points: Mapping[int, Any], year: int, method: ErrorMethod
 ) -> Optional[float]:
@@ -136,7 +123,7 @@ def build_error_set(
 
     ``points[year]`` is the forecast for ``year`` at ``horizon`` and
     ``truths[year]`` its realization observable at ``origin``, None when
-    absent; both are read by subscription, so a ``YearRow`` fills them on
+    absent; both are read by subscription, so a ``domain.Table`` fills them on
     demand. A point is read only for a year whose truth is present. A year is
     eligible when both are present. Ineligible years inside the window are
     substituted by the next older eligible year and recorded in

@@ -22,11 +22,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, TextIO
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from intervalcast.benchmark import QuarterlySeries
-from intervalcast.domain import ReleaseDate, Season, TargetId, horizon_of
+from intervalcast.domain import ReleaseDate, Season, Table, TargetId, horizon_of
 
 FORECAST_HEADER = [
     "country",
@@ -148,26 +149,29 @@ class ForecastPanel:
 
     def to_canonical_csv(self) -> str:
         """Stable serialization: sorted rows, fixed numeric formatting."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(FORECAST_HEADER)
         forecast_rows = sorted(
             (t.country, t.variable, origin.year, origin.season.value, year, value)
             for (t, origin, year), value in self._forecasts.items()
         )
-        for country, variable, oy, os_, ty, value in forecast_rows:
-            writer.writerow(
-                [country, variable, "forecast", oy, os_, ty, "NA", "NA", format(value, ".10g")]
-            )
         realization_rows = sorted(
             (t.country, t.variable, year, vintage.year, vintage.season.value, value)
             for (t, year, vintage), value in self._realizations.items()
         )
-        for country, variable, ty, vy, vs, value in realization_rows:
-            writer.writerow(
-                [country, variable, "realization", "NA", "NA", ty, vy, vs, format(value, ".10g")]
-            )
-        return buf.getvalue()
+        return csv_text(FORECAST_HEADER, chain(
+            ([country, variable, "forecast", oy, os_, ty, "NA", "NA", format(value, ".10g")]
+             for country, variable, oy, os_, ty, value in forecast_rows),
+            ([country, variable, "realization", "NA", "NA", ty, vy, vs, format(value, ".10g")]
+             for country, variable, ty, vy, vs, value in realization_rows),
+        ))
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """The CSV text of ``header`` and then ``rows``, each line ending in ``\\n``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _check_header(reader: Iterator[list[str]], expected: list[str]) -> None:
@@ -199,18 +203,6 @@ def _parse_int(token: str, column: str) -> int:
         raise SchemaMismatchError(f"unparseable {column} {token!r}") from None
 
 
-class _Parsed(dict):
-    """One parse's table of tokens to their parsed value: ``parse`` runs on a
-    key's first lookup only, and a key whose parse raises is not kept."""
-
-    def __init__(self, parse):
-        self.parse = parse
-
-    def __missing__(self, key):
-        value = self[key] = self.parse(key)
-        return value
-
-
 def parse_forecast_panel(stream: TextIO, source: str = "") -> ForecastPanel:
     """Parse the long-format forecast/realization CSV into a panel.
 
@@ -223,11 +215,11 @@ def parse_forecast_panel(stream: TextIO, source: str = "") -> ForecastPanel:
     forecasts: dict[tuple[TargetId, ReleaseDate, int], float] = {}
     realizations: dict[tuple[TargetId, int, ReleaseDate], float] = {}
     skipped: list[tuple[int, str]] = []
-    targets, years = _Parsed(lambda names: TargetId(*names)), _Parsed(lambda t: _parse_int(t, "target_year"))
-    releases = _Parsed(lambda release: release)  # equal releases share the first object
-    origins = _Parsed(lambda t: releases[ReleaseDate(_parse_int(t[0], "origin_year"), Season.parse(t[1]))])
-    vintages = _Parsed(lambda t: releases[ReleaseDate(_parse_int(t[0], "vintage_year"), Season.parse(t[1]))])
-    horizons = _Parsed(lambda t: horizon_of(origins[t[:2]], years[t[2]]))
+    targets, years = Table(lambda names: TargetId(*names)), Table(lambda t: _parse_int(t, "target_year"))
+    releases = Table(lambda release: release)  # equal releases share the first object
+    origins = Table(lambda t: releases[ReleaseDate(_parse_int(t[0], "origin_year"), Season.parse(t[1]))])
+    vintages = Table(lambda t: releases[ReleaseDate(_parse_int(t[0], "vintage_year"), Season.parse(t[1]))])
+    horizons = Table(lambda t: horizon_of(origins[t[:2]], years[t[2]]))
     # The line of each forecast and realization key, in insertion order.
     lines: dict[str, list[int]] = {"forecast": [], "realization": []}
     for line, row in enumerate(reader, start=2):
@@ -345,8 +337,8 @@ def parse_quarterly(
     reader = csv.reader(stream)
     _check_header(reader, QUARTERLY_HEADER)
     index_set = set(index_variables)
-    years, quarters = _Parsed(lambda t: _parse_int(t, "year")), _Parsed(lambda t: _parse_int(t, "quarter"))
-    levels = _Parsed(lambda names: (TargetId(*names), {}))  # names -> (target, (year, quarter) -> value)
+    years, quarters = Table(lambda t: _parse_int(t, "year")), Table(lambda t: _parse_int(t, "quarter"))
+    levels = Table(lambda names: (TargetId(*names), {}))  # names -> (target, (year, quarter) -> value)
     first_lines: dict[tuple[str, str, int, int], int] = {}
     for line, row in enumerate(reader, start=2):
         if not any(cells := [c.strip() for c in row]):

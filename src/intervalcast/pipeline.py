@@ -10,9 +10,7 @@ are scored, so each forecast is scored exactly once.
 
 from __future__ import annotations
 
-import io
 import json
-import csv
 import math
 import os
 import sys
@@ -35,6 +33,7 @@ from intervalcast.domain import (
     Horizon,
     ReleaseDate,
     Season,
+    Table,
     TargetId,
     horizon_of,
     validate_levels,
@@ -45,7 +44,6 @@ from intervalcast.errorsets import (
     ForecastLookup,
     InsufficientHistoryError,
     TruthSelector,
-    YearRow,
     build_error_set,
     year_error,
 )
@@ -54,6 +52,7 @@ from intervalcast.ingest import (
     ForecastPanel,
     PanelTruthSelector,
     TruthUnavailableError,
+    csv_text,
     select_truth,
 )
 from intervalcast.intervals import (
@@ -257,17 +256,13 @@ class ErrorHistory:
     def __init__(self, forecasts: ForecastLookup, truths: TruthSelector, max_window: int) -> None:
         self.forecasts = forecasts
         self.max_window = max_window
-        points = self.points = YearRow(lambda key: YearRow(
+        points = self.points = Table(lambda key: Table(
             lambda year: forecasts(key[0], key[1].origin_for(year), year)))
-        self.settled = YearRow(lambda key: YearRow(
+        self.settled = Table(lambda key: Table(
             lambda year: _settled_entry(truths.settled(key[0], year), points[key[:2]], year, key[2])))
-        self.truths = YearRow(lambda key: YearRow(lambda year: truths(key[0], year, key[1])))
-        self.windows: dict = {}  # one tuple per distinct year window of its grids, one int per year
-
-    def window(self, years: tuple[int, ...]) -> tuple[int, ...]:
-        """The table's tuple equal to ``years``, made of the table's year ints."""
-        table = self.windows
-        return table.get(years) or table.setdefault(years, tuple([table.setdefault(y, y) for y in years]))
+        self.truths = Table(lambda key: Table(lambda year: truths(key[0], year, key[1])))
+        years = Table(lambda year: year)  # one int per year, for the windows' tuples
+        self.windows = Table(lambda window: tuple([years[y] for y in window]))  # one per distinct window
 
     def error_set(
         self,
@@ -284,7 +279,7 @@ class ErrorHistory:
         )
 
 
-def _settled_entry(found, points: YearRow, year: int, method: ErrorMethod) -> tuple[int, Optional[float]]:
+def _settled_entry(found, points: Table, year: int, method: ErrorMethod) -> tuple[int, Optional[float]]:
     """A settled row's ``(first release ordinal, error)``; None is never settled."""
     if found is None:
         return sys.maxsize, None
@@ -332,8 +327,8 @@ def build_grid(
             forecast_origin=forecast_origin,
             lower=lower,
             upper=upper,
-            source_years=history.window(errs.source_years),
-            skipped_years=history.window(errs.skipped_years),
+            source_years=history.windows[errs.source_years],
+            skipped_years=history.windows[errs.skipped_years],
         )
         for (horizon, point, target_year, forecast_origin, errs), lower, upper
         in zip(found, lowers, uppers)
@@ -346,20 +341,19 @@ def _ar_lookup(
 ) -> ForecastLookup:
     """AR(1) forecasts; one fit per (target, origin) serves both target years,
     and a fit that fails is None and gives no forecast."""
-    fits: dict[tuple[TargetId, ReleaseDate], Optional[Ar1Fit]] = {}
+
+    def fit_or_none(key: tuple[TargetId, ReleaseDate]) -> Optional[Ar1Fit]:
+        try:
+            return benchmark.fit_ar1(series_by_target[key[0]], quarter_cutoff(key[1]),
+                                     min_obs=config.ar_min_obs, window=config.ar_window)
+        except ValueError:
+            return None
+
+    fits = Table(fit_or_none)
 
     def lookup(target: TargetId, origin: ReleaseDate, target_year: int) -> Optional[float]:
         series = series_by_target.get(target)
-        if series is None:
-            return None
-        if (target, origin) not in fits:
-            try:
-                fits[target, origin] = benchmark.fit_ar1(series, quarter_cutoff(origin),
-                                                         min_obs=config.ar_min_obs, window=config.ar_window)
-            except ValueError:
-                fits[target, origin] = None
-        fit = fits[target, origin]
-        if fit is None:
+        if series is None or (fit := fits[target, origin]) is None:
             return None
         try:
             return benchmark_forecast(series, origin, horizon_of(origin, target_year), fit=fit)
@@ -508,17 +502,13 @@ class TuningReport:
     rows: list[TuningRow] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["window", "error_method", "quantile_method", "variable", "horizon",
-                         "mean_wis", "n", "feasible", *(f"coverage_{tau}" for tau in self.levels)])
-        for r in self.rows:
-            writer.writerow([
-                r.window, r.error_method, r.quantile_method, r.variable, r.horizon,
-                "" if r.mean_wis is None else format(r.mean_wis, ".10g"), r.n, int(r.feasible),
-                *("" if tau not in r.coverage else format(r.coverage[tau], ".10g") for tau in self.levels),
-            ])
-        return buf.getvalue()
+        return csv_text(["window", "error_method", "quantile_method", "variable", "horizon",
+                         "mean_wis", "n", "feasible", *(f"coverage_{tau}" for tau in self.levels)], (
+            [r.window, r.error_method, r.quantile_method, r.variable, r.horizon,
+             "" if r.mean_wis is None else format(r.mean_wis, ".10g"), r.n, int(r.feasible),
+             *("" if tau not in r.coverage else format(r.coverage[tau], ".10g") for tau in self.levels)]
+            for r in self.rows
+        ))
 
     def to_json(self) -> str:
         rows = [
@@ -645,9 +635,7 @@ def produce_forecast(
     defaults to the panel's ``content_tag``, a digest computed once per panel.
     """
     tag = config.generated_at or panel.content_tag
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(FORECAST_FILE_HEADER)
+    rows: list[list[object]] = []
     gaps: list[str] = []
     for label, forecasts, truths in _sources(config, panel, quarterly, external):
         for target in panel.targets:
@@ -660,13 +648,13 @@ def produce_forecast(
                 cell = grid.cells[horizon]
                 point = cell.point
                 for tau, lo, up in zip(grid.levels, cell.lower, cell.upper):
-                    writer.writerow([
+                    rows.append([
                         target.country, target.variable, cell.forecast_origin.year,
                         cell.forecast_origin.season.value, cell.target_year,
                         *(format(x, ".10g") for x in (tau, point + lo, point + up, point)),
                         label, tag,
                     ])
-    return buf.getvalue(), gaps
+    return csv_text(FORECAST_FILE_HEADER, rows), gaps
 
 
 def gaps_json(gaps: Iterable[str]) -> str:

@@ -9,8 +9,6 @@ interval) or underprediction (outcome above it).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import sys
 from dataclasses import dataclass, field
@@ -19,7 +17,8 @@ from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from intervalcast.domain import HORIZONS, Horizon, ReleaseDate
+from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, Table
+from intervalcast.ingest import csv_text
 from intervalcast.intervals import IntervalGrid, PredictionInterval
 
 POOLED = "pooled"
@@ -148,23 +147,11 @@ class EvaluationReport:
         return rows
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["country", "variable", "horizon", "method", "level", "metric", "value", "n"])
-        for row in self.to_rows():
-            writer.writerow(
-                [
-                    row["country"],
-                    row["variable"],
-                    row["horizon"],
-                    row["method"],
-                    row["level"],
-                    row["metric"],
-                    _fmt(row["value"]),
-                    row["n"],
-                ]
-            )
-        return buf.getvalue()
+        return csv_text(["country", "variable", "horizon", "method", "level", "metric", "value", "n"], (
+            [row["country"], row["variable"], row["horizon"], row["method"],
+             row["level"], row["metric"], _fmt(row["value"]), row["n"]]
+            for row in self.to_rows()
+        ))
 
     def to_json(self) -> str:
         """The text of ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``
@@ -426,12 +413,14 @@ _REPORT_ROW = _layout(dict.fromkeys(
     ("country", "horizon", "level", "method", "metric", "n", "value", "variable"), "%s"), "    ")
 
 
-def _audit_template(interval_keys: Sequence[str], score_keys: Sequence[str]) -> str:
-    """``write_audit``'s ``%`` template of a row with these sorted level keys."""
+def _audit_template(shape: tuple[Sequence[str], Sequence[str]]) -> tuple[str, list[str], list[str]]:
+    """``write_audit``'s ``%`` template of a row whose (interval, score) level
+    keys are ``shape``, and both keys sorted as strings, as json sorts them."""
+    interval_keys, score_keys = sorted(shape[0]), sorted(shape[1])
     slots = dict.fromkeys(_ROW_KEYS, "%s")
     slots["intervals"] = _by_level(interval_keys, _INTERVAL_FIELDS)
     slots["scores"] = _by_level(score_keys, _SCORE_FIELDS)
-    return "  " + _layout(slots, "  ")
+    return "  " + _layout(slots, "  "), interval_keys, score_keys
 
 
 def write_audit(rows: Iterable[dict[str, object]], fh) -> None:
@@ -442,22 +431,13 @@ def write_audit(rows: Iterable[dict[str, object]], fh) -> None:
     is written by one ``%`` over a flat tuple of its values' texts."""
     text, nonfinite = encode_basestring_ascii, _NONFINITE.get
     bounds, score_fields = itemgetter("lower", "upper"), itemgetter(*_SCORE_FIELDS)
-    templates: dict[tuple, tuple[str, list[str], list[str]]] = {}
-    lists: dict[tuple[int, ...], str] = {}  # each distinct int list's text, keyed by its value
-
-    def ints(values: Sequence[int]) -> str:
-        if (found := lists.get(key := tuple(values))) is None:  # a tuple is its own key
-            found = lists[key] = "[\n      " + ",\n      ".join(map(int.__repr__, key)) + "\n    ]" if key else "[]"
-        return found
-
+    templates = Table(_audit_template)
+    # Each distinct int tuple's text; a row's lists are keyed as tuples.
+    ints = Table(lambda key: "[\n      " + ",\n      ".join(map(int.__repr__, key)) + "\n    ]" if key else "[]")
     sep = "[\n"
     for row in rows:
         intervals, scores = row["intervals"], row["scores"]
-        shape = (tuple(intervals), tuple(scores))
-        if (entry := templates.get(shape)) is None:  # level keys sort as strings, as json sorts them
-            interval_keys, score_keys = sorted(intervals), sorted(scores)
-            entry = templates[shape] = (_audit_template(interval_keys, score_keys), interval_keys, score_keys)
-        template, interval_keys, score_keys = entry
+        template, interval_keys, score_keys = templates[tuple(intervals), tuple(scores)]
         levels = [intervals[key] for key in interval_keys]
         # The row's floats in one list: outcome, point, wis, then each
         # interval's bounds and each score's parts in template order.
@@ -478,8 +458,8 @@ def write_audit(rows: Iterable[dict[str, object]], fh) -> None:
         fh.write(sep + template % (
             text(row["country"]), text(row["forecast_origin"]), text(row["grid_origin"]),
             text(row["horizon"]), *interval_values, text(row["method"]), reprs[0],
-            ints(row["pava_blocks"]), reprs[1], *reprs[3 + n:], ints(row["skipped_years"]),
-            ints(row["source_years"]), int.__repr__(row["target_year"]), text(row["variable"]), reprs[2],
+            ints[tuple(row["pava_blocks"])], reprs[1], *reprs[3 + n:], ints[tuple(row["skipped_years"])],
+            ints[tuple(row["source_years"])], int.__repr__(row["target_year"]), text(row["variable"]), reprs[2],
         ))
         sep = ",\n"
     fh.write("[]\n" if sep == "[\n" else "\n]\n")

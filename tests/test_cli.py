@@ -488,6 +488,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("windows, fragment", [
         ("4,4", "window 4"), ("0,3", "window 0 must be >= 1"), ("4,", "--grid-windows"),
+        ("", "--grid-windows"),
     ])
     def test_bad_grid_windows_exit_one(self, panel_path, tmp_path, capsys, windows, fragment):
         code = main(["tune", "--data", panel_path, "--out", str(tmp_path / "out"),

@@ -9,6 +9,7 @@ from intervalcast.domain import (
     Horizon,
     ReleaseDate,
     Season,
+    Table,
     UnsupportedHorizonError,
     horizon_of,
     validate_levels,
@@ -85,3 +86,24 @@ def test_release_date_parse_inverts_str(year, season):
 def test_release_date_parse_names_bad_token(token):
     with pytest.raises(ValueError, match=f"bad release date {token!r}"):
         ReleaseDate.parse(token)
+
+
+def test_table_fills_each_key_once():
+    calls = []
+    table = Table(lambda key: calls.append(key) or key * 2)
+    assert [table[3], table[4], table[3], table[4]] == [6, 8, 6, 8]
+    assert calls == [3, 4] and table == {3: 6, 4: 8}
+
+
+def test_table_keeps_no_key_whose_fill_raises():
+    calls = []
+
+    def fill(key):
+        calls.append(key)
+        raise ValueError(f"bad {key}")
+
+    table = Table(fill)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="bad x"):
+            table["x"]
+    assert calls == ["x", "x"] and "x" not in table and len(table) == 0

@@ -5,12 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from intervalcast.domain import Horizon, ReleaseDate, Season, TargetId
+from intervalcast.domain import Horizon, ReleaseDate, Season, Table, TargetId
 from intervalcast.errorsets import (
     ErrorMethod,
     ErrorSet,
     InsufficientHistoryError,
-    YearRow,
     build_error_set,
     forecast_error,
 )
@@ -25,8 +24,8 @@ def build(panel, horizon, anchor_year, origin, window, method=ErrorMethod.ABSOLU
     """``build_error_set`` over year rows of the panel's forecasts and truths."""
     truths = PanelTruthSelector(panel)
     return build_error_set(
-        YearRow(lambda year: panel.forecast(TARGET, horizon.origin_for(year), year)),
-        YearRow(lambda year: truths(TARGET, year, origin)),
+        Table(lambda year: panel.forecast(TARGET, horizon.origin_for(year), year)),
+        Table(lambda year: truths(TARGET, year, origin)),
         TARGET, horizon, anchor_year=anchor_year, origin=origin, window=window, method=method,
     )
 

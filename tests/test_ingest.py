@@ -96,6 +96,18 @@ class TestParseForecastPanel:
         reparsed = parse_forecast_panel(io.StringIO(text))
         assert reparsed.to_canonical_csv() == text
 
+    def test_canonical_roundtrip_quotes_commas_and_double_quotes(self):
+        target = TargetId('Korea, "Rep."', "gdp")
+        panel = ForecastPanel(
+            {(target, ReleaseDate(2020, Season.FALL), 2020): 1.5},
+            {(target, 2020, ReleaseDate(2021, Season.FALL)): 1.25},
+        )
+        text = panel.to_canonical_csv()
+        assert '"Korea, ""Rep."""' in text
+        reparsed = parse_forecast_panel(io.StringIO(text))
+        assert reparsed.to_canonical_csv() == text
+        assert (reparsed.forecasts, reparsed.realizations) == (panel.forecasts, panel.realizations)
+
     def test_until_vintage_restricts_both_sides(self):
         panel = make_panel(countries=("AAA",), first_year=1990, last_year=2023)
         cutoff = ReleaseDate(2013, Season.FALL)

@@ -478,12 +478,12 @@ class TestRunBacktest:
         first = history.error_set(TARGET, Horizon.FALL_NEXT, 2021, origin, ErrorMethod.ABSOLUTE)
         made = []
 
-        class CountedRow(pipeline.YearRow):
+        class CountedRow(pipeline.Table):
             def __init__(self, fill):
                 made.append(fill)
                 super().__init__(fill)
 
-        monkeypatch.setattr(pipeline, "YearRow", CountedRow)
+        monkeypatch.setattr(pipeline, "Table", CountedRow)
         again = history.error_set(TARGET, Horizon.FALL_NEXT, 2021, origin, ErrorMethod.ABSOLUTE)
         assert again == first and made == []
         history.error_set(TARGET, Horizon.FALL_NEXT, 2021, origin, ErrorMethod.DIRECTIONAL)
