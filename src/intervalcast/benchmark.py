@@ -90,8 +90,6 @@ class QuarterlySeries:
 class Ar1Fit:
     intercept: float
     slope: float
-    first_quarter: Quarter
-    last_quarter: Quarter
     n_obs: int
 
 
@@ -132,14 +130,7 @@ def fit_ar1(
     intercept = ybar - slope * xbar
     if not (math.isfinite(intercept) and math.isfinite(slope)):
         raise DegenerateRegressorError("non-finite AR(1) coefficients")
-    first = _q_from_index(_q_index(last_usable_quarter) - n_pairs)
-    return Ar1Fit(
-        intercept=intercept,
-        slope=slope,
-        first_quarter=first,
-        last_quarter=last_usable_quarter,
-        n_obs=n_pairs,
-    )
+    return Ar1Fit(intercept=intercept, slope=slope, n_obs=n_pairs)
 
 
 def forecast_ar1_path(fit: Ar1Fit, last_value: float, steps: int) -> list[float]:
@@ -173,52 +164,43 @@ def annual_truth(series: QuarterlySeries, target_year: int) -> Optional[float]:
     values = [series.value(q) for q in annual_window(target_year)]
     if any(v is None for v in values):
         return None
-    return aggregate_annual([v for v in values if v is not None])
+    return aggregate_annual(values)  # type: ignore[arg-type]
 
 
 def benchmark_forecast(
     series: QuarterlySeries,
     origin: ReleaseDate,
     horizon: Horizon,
-    min_obs: int = 20,
-    window: Optional[int] = None,
-    fit: Optional[Ar1Fit] = None,
+    fit: Ar1Fit,
 ) -> float:
     """Annual AR(1) benchmark forecast for the target year implied by
-    ``origin`` and ``horizon``.
+    ``origin`` and ``horizon``, from ``fit``, the origin's ``fit_ar1`` result;
+    both horizons of an origin share one fit.
 
     Quarters up to the origin cutoff are taken from the data; later quarters
     come from the iterated AR(1) path started at the last observed value.
-    ``fit`` is the origin's ``fit_ar1`` result when the caller already has
-    it; both horizons of an origin share one fit.
+    The window never starts after the quarter that follows the cutoff, so
+    the path's steps are exactly the window's remaining quarters.
     """
     if horizon.season is not origin.season:
         raise ValueError(
             f"horizon {horizon.label} cannot be issued at a "
             f"{origin.season.name.lower()} origin"
         )
-    target_year = origin.year + horizon.year_offset
     cutoff = quarter_cutoff(origin)
-    if fit is None:
-        fit = fit_ar1(series, cutoff, min_obs=min_obs, window=window)
-    last_value = series.value(cutoff)
-    assert last_value is not None  # fit_ar1 succeeded on the run ending here
-    window_quarters = annual_window(target_year)
-    max_steps = max(_q_index(q) - _q_index(cutoff) for q in window_quarters)
-    path = forecast_ar1_path(fit, last_value, max_steps) if max_steps >= 1 else []
     values: list[float] = []
-    for q in window_quarters:
-        steps_ahead = _q_index(q) - _q_index(cutoff)
-        if steps_ahead <= 0:
-            observed = series.value(q)
-            if observed is None:
-                raise InsufficientQuarterlyHistoryError(
-                    f"missing observed quarter {q} before origin cutoff {cutoff}"
-                )
-            values.append(observed)
-        else:
-            values.append(path[steps_ahead - 1])
-    return aggregate_annual(values)
+    for q in annual_window(origin.year + horizon.year_offset):
+        if q > cutoff:
+            break
+        observed = series.value(q)
+        if observed is None:
+            raise InsufficientQuarterlyHistoryError(
+                f"missing observed quarter {q} before origin cutoff {cutoff}"
+            )
+        values.append(observed)
+    last_value = series.value(cutoff)
+    assert last_value is not None  # the fit's run ends at the cutoff
+    return aggregate_annual(values + forecast_ar1_path(fit, last_value, len(ANNUAL_WEIGHTS) - len(values)))
 
 
 @dataclass(frozen=True)

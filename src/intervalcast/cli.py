@@ -40,23 +40,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--data", help="forecast/realization panel CSV")
-    parser.add_argument("--quarterly-data", dest="quarterly_data", help="quarterly benchmark CSV")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--levels", help="comma-separated confidence levels, e.g. 0.5,0.8")
-    parser.add_argument("--window", type=int, help="rolling window length R")
-    parser.add_argument("--error-method", dest="error_method", choices=["absolute", "directional"])
-    parser.add_argument(
-        "--quantile-method", dest="quantile_method",
-        choices=["type1", "type7", "inverse-ecdf", "linear"],
-    )
-    parser.add_argument("--train-span", dest="train_span", help="e.g. 1990-2012")
-    parser.add_argument("--holdout-span", dest="holdout_span", help="e.g. 2013-2023")
-    parser.add_argument("--methods", help="comma-separated subset of imf,ar,external")
-    parser.add_argument("--exclude", help="comma-separated COUNTRY:FIRST-LAST spans")
-    parser.add_argument("--external-forecasts", dest="external_forecasts")
+# The config flags in ``--help`` order, each with its dest as its config key.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "--config": {"help": "JSON config file; flags override it"},
+    "--data": {"help": "forecast/realization panel CSV"},
+    "--quarterly-data": {"help": "quarterly benchmark CSV"},
+    "--out": {"help": "output directory"},
+    "--levels": {"help": "comma-separated confidence levels, e.g. 0.5,0.8"},
+    "--window": {"type": int, "help": "rolling window length R"},
+    "--error-method": {"choices": ["absolute", "directional"]},
+    "--quantile-method": {"choices": ["type1", "type7", "inverse-ecdf", "linear"]},
+    "--train-span": {"help": "e.g. 1990-2012"},
+    "--holdout-span": {"help": "e.g. 2013-2023"},
+    "--methods": {"help": "comma-separated subset of imf,ar,external"},
+    "--exclude": {"help": "comma-separated COUNTRY:FIRST-LAST spans"},
+    "--external-forecasts": {},
+}
 
 
 def _config_from_args(args: argparse.Namespace, config_path: Optional[str] = None) -> RunConfig:
@@ -184,34 +183,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Calibrated prediction intervals from past forecast errors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ingest = sub.add_parser("ingest", help="validate and canonicalize a panel CSV")
-    _add_common(p_ingest)
-    p_ingest.set_defaults(func=cmd_ingest)
-
-    p_tune = sub.add_parser("tune", help="tuning-grid evaluation on the training span")
-    _add_common(p_tune)
-    p_tune.add_argument("--grid-windows", dest="grid_windows",
-                        help="comma-separated window lengths (default 4..11)")
-    p_tune.set_defaults(func=cmd_tune)
-
-    p_backtest = sub.add_parser("backtest", help="hold-out evaluation")
-    _add_common(p_backtest)
-    p_backtest.set_defaults(func=cmd_backtest)
-
-    p_forecast = sub.add_parser("forecast", help="produce interval files for one origin")
-    _add_common(p_forecast)
-    p_forecast.add_argument("--origin-year", dest="origin_year", type=int, required=True)
-    p_forecast.add_argument("--origin-season", dest="origin_season", required=True,
-                            choices=["S", "F"])
-    p_forecast.set_defaults(func=cmd_forecast)
-
-    p_report = sub.add_parser("report", help="re-render the report from a stored audit trail")
-    _add_common(p_report)
-    p_report.add_argument("--audit", help="path to audit.json (default <out>/audit.json); "
-                          "the run's config is read from run.json beside it")
-    p_report.set_defaults(func=cmd_report)
-
+    every, ingest = tuple(_FLAGS), ("--config", "--data", "--out")
+    commands = {}
+    # Each command registers only the config flags it reads.
+    for name, func, flags, summary in (
+        ("ingest", cmd_ingest, ingest, "validate and canonicalize a panel CSV"),
+        ("tune", cmd_tune, (*ingest, "--levels", "--quantile-method", "--train-span", "--holdout-span"),
+         "tuning-grid evaluation on the training span"),
+        ("backtest", cmd_backtest, every, "hold-out evaluation"),
+        ("forecast", cmd_forecast, every, "produce interval files for one origin"),
+        ("report", cmd_report, every, "re-render the report from a stored audit trail"),
+    ):
+        command = commands[name] = sub.add_parser(name, help=summary)
+        command.set_defaults(func=func)
+        for flag in flags:
+            command.add_argument(flag, **_FLAGS[flag])
+    commands["tune"].add_argument("--grid-windows", dest="grid_windows",
+                                  help="comma-separated window lengths (default 4..11)")
+    commands["forecast"].add_argument("--origin-year", dest="origin_year", type=int, required=True)
+    commands["forecast"].add_argument("--origin-season", dest="origin_season", required=True,
+                                      choices=["S", "F"])
+    commands["report"].add_argument("--audit", help="path to audit.json (default <out>/audit.json); "
+                                    "the run's config is read from run.json beside it")
     return parser
 
 

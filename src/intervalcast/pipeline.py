@@ -17,7 +17,7 @@ import sys
 from bisect import insort
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from intervalcast import benchmark
 from intervalcast.benchmark import (
@@ -386,24 +386,32 @@ def _sources(
     return out
 
 
-def _grid_at(
+def _grids(
     config: RunConfig,
     panel: ForecastPanel,
-    label: str,
-    history: ErrorHistory,
-    target: TargetId,
-    origin: ReleaseDate,
-) -> tuple[Optional[IntervalGrid], tuple[str, ...]]:
-    """The grid (or None) and gaps of one source at one origin. The panel keeps
-    IMF grids, which depend only on it and five config fields; other sources
-    read inputs it lacks, and no run asks for one of their grids twice."""
-    key = (config.truth_rule, config.window, config.error_method, config.quantile_method, config.levels)
-    grids = panel._grids.setdefault(key, {}) if label == "imf" else {}
-    found = grids.get((target, origin))
-    if found is None:
-        grid, gaps = build_grid(history, target, origin, config)
-        found = grids[(target, origin)] = (grid, tuple(gaps))
-    return found
+    quarterly: Optional[dict[TargetId, QuarterlySeries]],
+    external: Optional[ForecastPanel],
+    origins: Sequence[ReleaseDate],
+    gaps: list[str],
+) -> Iterator[tuple[str, IntervalGrid]]:
+    """``(label, grid)`` of each source, target and origin that has a grid, in
+    that order, from one ``ErrorHistory`` per (source, target); an origin's gaps
+    join ``gaps`` before its grid is yielded. The panel keeps IMF grids, which
+    depend only on it and five config fields; other sources read inputs it lacks."""
+    kept = panel._grids.setdefault(
+        (config.truth_rule, config.window, config.error_method, config.quantile_method, config.levels), {})
+    for label, forecasts, truths in _sources(config, panel, quarterly, external):
+        grids = kept if label == "imf" else {}
+        for target in panel.targets:
+            history = ErrorHistory(forecasts, truths, config.window)
+            for origin in origins:
+                found = grids.get((target, origin))
+                if found is None:
+                    grid, grid_gaps = build_grid(history, target, origin, config)
+                    found = grids[target, origin] = (grid, tuple(grid_gaps))
+                gaps.extend(found[1])
+                if found[0] is not None:
+                    yield label, found[0]
 
 
 def _eval_as_of(config: RunConfig, panel: ForecastPanel) -> ReleaseDate:
@@ -450,30 +458,19 @@ def run_backtest(
     gaps = [f"holdout origins {a}-{b} skipped: no realization for target years {a}-{b + 1}"
             for a, b in skipped if a <= b]
     origins = [ReleaseDate(year, season) for year in range(first, last + 1) for season in (Season.SPRING, Season.FALL)]
-    for label, forecasts, truths in _sources(config, panel, quarterly, external):
-        for target in panel.targets:
-            history = ErrorHistory(forecasts, truths, config.window)
-            for origin in origins:
-                grid, grid_gaps = _grid_at(config, panel, label, history, target, origin)
-                gaps.extend(grid_gaps)
-                if grid is None:
-                    continue
-                grids.append(grid)
-                for horizon in fresh_horizons(origin):
-                    cell = grid.cells.get(horizon)
-                    if cell is None:
-                        continue
-                    if not (h0 <= cell.target_year <= h1):
-                        continue
-                    try:
-                        outcome = select_truth(
-                            panel, target, cell.target_year, as_of,
-                            config.truth_rule, mode="evaluation",
-                        )
-                    except TruthUnavailableError as exc:
-                        gaps.append(str(exc))
-                        continue
-                    audit.append(audit_row(grid, horizon, label, outcome, weights))
+    for label, grid in _grids(config, panel, quarterly, external, origins, gaps):
+        grids.append(grid)
+        for horizon in fresh_horizons(grid.origin):
+            cell = grid.cells.get(horizon)
+            if cell is None or not h0 <= cell.target_year <= h1:
+                continue
+            try:
+                outcome = select_truth(panel, grid.target, cell.target_year, as_of, config.truth_rule,
+                                       mode="evaluation")
+            except TruthUnavailableError as exc:
+                gaps.append(str(exc))
+                continue
+            audit.append(audit_row(grid, horizon, label, outcome, weights))
     report = evaluation_report(audit, config)
     return BacktestResult(config=config, report=report, grids=grids, audit=audit, gaps=gaps)
 
@@ -637,23 +634,17 @@ def produce_forecast(
     tag = config.generated_at or panel.content_tag
     rows: list[list[object]] = []
     gaps: list[str] = []
-    for label, forecasts, truths in _sources(config, panel, quarterly, external):
-        for target in panel.targets:
-            history = ErrorHistory(forecasts, truths, config.window)
-            grid, grid_gaps = _grid_at(config, panel, label, history, target, origin)
-            gaps.extend(grid_gaps)
-            if grid is None:
-                continue
-            for horizon in grid.horizons:
-                cell = grid.cells[horizon]
-                point = cell.point
-                for tau, lo, up in zip(grid.levels, cell.lower, cell.upper):
-                    rows.append([
-                        target.country, target.variable, cell.forecast_origin.year,
-                        cell.forecast_origin.season.value, cell.target_year,
-                        *(format(x, ".10g") for x in (tau, point + lo, point + up, point)),
-                        label, tag,
-                    ])
+    for label, grid in _grids(config, panel, quarterly, external, [origin], gaps):
+        for horizon in grid.horizons:
+            cell = grid.cells[horizon]
+            point = cell.point
+            for tau, lo, up in zip(grid.levels, cell.lower, cell.upper):
+                rows.append([
+                    grid.target.country, grid.target.variable, cell.forecast_origin.year,
+                    cell.forecast_origin.season.value, cell.target_year,
+                    *(format(x, ".10g") for x in (tau, point + lo, point + up, point)),
+                    label, tag,
+                ])
     return csv_text(FORECAST_FILE_HEADER, rows), gaps
 
 

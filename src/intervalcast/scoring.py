@@ -149,7 +149,7 @@ class EvaluationReport:
     def to_csv(self) -> str:
         return csv_text(["country", "variable", "horizon", "method", "level", "metric", "value", "n"], (
             [row["country"], row["variable"], row["horizon"], row["method"],
-             row["level"], row["metric"], _fmt(row["value"]), row["n"]]
+             row["level"], row["metric"], format(row["value"], ".10g"), row["n"]]
             for row in self.to_rows()
         ))
 
@@ -185,12 +185,6 @@ def _json_list(items: Iterable[str]) -> str:
     """``json.dumps(indent=2)``'s layout of a list of rendered ``items`` one level deep."""
     body = ",\n    ".join(items)
     return f"[\n    {body}\n  ]" if body else "[]"
-
-
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
 
 
 def mean(values: Sequence[float]) -> float:

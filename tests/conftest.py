@@ -9,6 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from intervalcast.benchmark import (
+    InsufficientQuarterlyHistoryError,
+    aggregate_annual,
+    annual_window,
+    forecast_ar1_path,
+    quarter_cutoff,
+)
 from intervalcast.domain import HORIZONS, ReleaseDate, Season, TargetId, horizon_of
 from intervalcast.ingest import (
     FORECAST_HEADER,
@@ -152,6 +159,41 @@ def interval_from_offsets(point, tau, offs) -> PredictionInterval:
         degenerate=lower == upper,
         excludes_center=not (lower <= point <= upper),
     )
+
+
+def benchmark_forecast_per_quarter(series, origin, horizon, fit) -> float:
+    """The annual AR(1) forecast read quarter by quarter: observed quarters up
+    to the origin's cutoff, then step ``k`` of one path as long as the
+    furthest quarter's step. The oracle of ``benchmark.benchmark_forecast``."""
+    if horizon.season is not origin.season:
+        raise ValueError(
+            f"horizon {horizon.label} cannot be issued at a "
+            f"{origin.season.name.lower()} origin"
+        )
+    target_year = origin.year + horizon.year_offset
+    cutoff = quarter_cutoff(origin)
+    last_value = series.value(cutoff)
+    assert last_value is not None
+
+    def index(q):
+        return q[0] * 4 + q[1] - 1
+
+    window_quarters = annual_window(target_year)
+    max_steps = max(index(q) - index(cutoff) for q in window_quarters)
+    path = forecast_ar1_path(fit, last_value, max_steps) if max_steps >= 1 else []
+    values = []
+    for q in window_quarters:
+        steps_ahead = index(q) - index(cutoff)
+        if steps_ahead <= 0:
+            observed = series.value(q)
+            if observed is None:
+                raise InsufficientQuarterlyHistoryError(
+                    f"missing observed quarter {q} before origin cutoff {cutoff}"
+                )
+            values.append(observed)
+        else:
+            values.append(path[steps_ahead - 1])
+    return aggregate_annual(values)
 
 
 def pool_adjacent_horizons(columns):

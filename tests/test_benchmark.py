@@ -26,7 +26,7 @@ from intervalcast.benchmark import (
 )
 from intervalcast.domain import Horizon, ReleaseDate, Season, TargetId
 
-from conftest import make_panel
+from conftest import benchmark_forecast_per_quarter, make_panel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TARGET = TargetId("USA", "gdp")
@@ -131,15 +131,15 @@ def test_backtest_with_ar_runs_without_numpy(tmp_path):
 
 class TestForecastPath:
     def test_random_walk_mean(self):
-        fit = Ar1Fit(0.0, 1.0, (2000, 1), (2009, 4), 39)
+        fit = Ar1Fit(0.0, 1.0, 39)
         assert forecast_ar1_path(fit, 3.0, 4) == [3.0, 3.0, 3.0, 3.0]
 
     def test_white_noise_about_mean(self):
-        fit = Ar1Fit(2.0, 0.0, (2000, 1), (2009, 4), 39)
+        fit = Ar1Fit(2.0, 0.0, 39)
         assert forecast_ar1_path(fit, -17.0, 3) == [2.0, 2.0, 2.0]
 
     def test_hand_iteration(self):
-        fit = Ar1Fit(1.0, 0.5, (2000, 1), (2009, 4), 39)
+        fit = Ar1Fit(1.0, 0.5, 39)
         assert forecast_ar1_path(fit, 4.0, 3) == pytest.approx([3.0, 2.5, 2.25])
 
 
@@ -198,7 +198,7 @@ class TestBenchmarkForecast:
         values = ar1_values(1.0, 0.5, 5.0, 80)
         series = series_from_values(values)  # 2000Q1..2019Q4
         origin = ReleaseDate(2018, Season.FALL)
-        got = benchmark_forecast(series, origin, Horizon.FALL_NEXT)
+        got = benchmark_forecast(series, origin, Horizon.FALL_NEXT, fit_ar1(series, quarter_cutoff(origin)))
         exact = annual_truth(series, 2019)
         assert got == pytest.approx(exact, abs=1e-9)
 
@@ -207,8 +207,8 @@ class TestBenchmarkForecast:
         values = list(rng.normal(1.0, 0.3, size=76))  # 2000Q1..2018Q4
         series = series_from_values(values)
         origin = ReleaseDate(2018, Season.FALL)
-        got = benchmark_forecast(series, origin, Horizon.FALL_CURRENT)
         fit = fit_ar1(series, (2018, 3))
+        got = benchmark_forecast(series, origin, Horizon.FALL_CURRENT, fit)
         q4 = forecast_ar1_path(fit, series.value((2018, 3)), 1)[0]
         window = [series.value(q) for q in annual_window(2018)[:-1]] + [q4]
         assert got == pytest.approx(aggregate_annual(window), abs=1e-12)
@@ -217,25 +217,25 @@ class TestBenchmarkForecast:
         values = ar1_values(0.5, 0.8, 2.0, 80)
         series = series_from_values(values)
         origin = ReleaseDate(2018, Season.SPRING)
-        got = benchmark_forecast(series, origin, Horizon.SPRING_NEXT)
         fit = fit_ar1(series, (2018, 1))
+        got = benchmark_forecast(series, origin, Horizon.SPRING_NEXT, fit)
         path = forecast_ar1_path(fit, series.value((2018, 1)), 7)
         assert got == pytest.approx(aggregate_annual(path), abs=1e-9)
 
     def test_given_fit_is_used(self):
+        # White noise about 2: every forecast quarter is 2, whatever the data.
         rng = np.random.default_rng(12)
         series = series_from_values(list(rng.normal(1.0, 0.3, size=76)))
         origin = ReleaseDate(2017, Season.SPRING)
-        fit = fit_ar1(series, quarter_cutoff(origin))
-        for horizon in (Horizon.SPRING_CURRENT, Horizon.SPRING_NEXT):
-            assert repr(benchmark_forecast(series, origin, horizon, fit=fit)) == repr(
-                benchmark_forecast(series, origin, horizon)
-            )
+        fit = Ar1Fit(2.0, 0.0, 39)
+        observed = [series.value((2016, q)) for q in (2, 3, 4)] + [series.value((2017, 1))]
+        assert benchmark_forecast(series, origin, Horizon.SPRING_CURRENT, fit) == aggregate_annual([*observed, 2.0, 2.0, 2.0])
+        assert benchmark_forecast(series, origin, Horizon.SPRING_NEXT, fit) == aggregate_annual([2.0] * 7)
 
     def test_season_mismatch_rejected(self):
         series = series_from_values(ar1_values(1.0, 0.5, 0.0, 80))
         with pytest.raises(ValueError):
-            benchmark_forecast(series, ReleaseDate(2018, Season.SPRING), Horizon.FALL_NEXT)
+            benchmark_forecast(series, ReleaseDate(2018, Season.SPRING), Horizon.FALL_NEXT, Ar1Fit(0.0, 1.0, 39))
 
 
 class TestSeriesBookkeeping:
@@ -297,3 +297,35 @@ def test_runs_found_once_match_the_walk(case):
     series, cutoffs = case
     for cutoff in cutoffs:
         assert series.contiguous_run_ending(cutoff) == walked_run(series, cutoff)
+
+
+@st.composite
+def holed_series_at_an_origin(draw):
+    """An origin, and a series over the four years around it whose quarters
+    may be missing anywhere but at the origin's cutoff."""
+    origin = ReleaseDate(draw(st.integers(1990, 2030)), draw(st.sampled_from(Season)))
+    first = (origin.year - 2) * 4
+    cutoff = quarter_cutoff(origin)
+    quarters = [quarter_at(first + i) for i in range(16)]
+    holes = draw(st.sets(st.sampled_from([q for q in quarters if q != cutoff]), max_size=5))
+    growth = {q: draw(st.floats(-5, 5)) for q in quarters if q not in holes}
+    return QuarterlySeries(TARGET, growth), origin
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(holed_series_at_an_origin())
+def test_forecast_matches_the_per_quarter_reads(case):
+    series, origin = case
+    try:
+        fit = fit_ar1(series, quarter_cutoff(origin), min_obs=2)
+    except ValueError:  # too short or constant a run ends at the cutoff
+        assume(False)
+    for horizon in Horizon:
+        try:
+            want = repr(benchmark_forecast_per_quarter(series, origin, horizon, fit))
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                benchmark_forecast(series, origin, horizon, fit)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        else:
+            assert repr(benchmark_forecast(series, origin, horizon, fit)) == want

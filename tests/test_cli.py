@@ -463,6 +463,17 @@ class TestBadInput:
         assert exc.value.code == 1
         self._assert_one_line_error(capsys, fragment)
 
+    @pytest.mark.parametrize("command, flags", [
+        ("tune", ["--window", "5", "--error-method", "directional"]),
+        ("ingest", ["--window", "0"]),
+    ])
+    def test_flag_the_command_does_not_read_exits_one(self, panel_path, tmp_path, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", panel_path, "--out", str(tmp_path / "out"), *flags])
+        assert exc.value.code == 1
+        self._assert_one_line_error(capsys, f"unrecognized arguments: {' '.join(flags)}")
+        assert not (tmp_path / "out").exists()
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["backtest", "--help"])

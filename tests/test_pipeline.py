@@ -331,17 +331,19 @@ class TestRunBacktest:
     def test_holdout_walk_stops_at_the_last_realized_year(self, monkeypatch):
         # Realized target years run to 2023, so no origin after 2023 can
         # score; the walk once went on to 999999, asking for 4 million grids.
-        panel = backtest_panel(2)
-        bounded = run_backtest(RunConfig(), panel)
-        grid_at, asked = pipeline._grid_at, []
+        # The first run keeps its grids on its panel, so the counted run
+        # walks a fresh one.
+        bounded = run_backtest(RunConfig(), backtest_panel(2))
+        panel, build, asked = backtest_panel(2), pipeline.build_grid, []
 
         def counted(*args):
             asked.append(args)
             assert len(asked) <= 2 * 2 * (2023 - 2012 + 1), "walked past the data"
-            return grid_at(*args)
+            return build(*args)
 
-        monkeypatch.setattr(pipeline, "_grid_at", counted)
+        monkeypatch.setattr(pipeline, "build_grid", counted)
         result = run_backtest(RunConfig(holdout_span=(2013, 999999)), panel)
+        assert len(asked) == 2 * 2 * (2023 - 2012 + 1)
         assert result.audit == bounded.audit
         # The 2023 origins' next-year cells (2024) are unrealized, as before.
         assert result.gaps == [
@@ -445,10 +447,9 @@ class TestRunBacktest:
             if target not in quarterly:
                 return None
             try:
-                return benchmark.benchmark_forecast(
-                    series, origin, horizon_of(origin, target_year),
-                    min_obs=config.ar_min_obs, window=config.ar_window,
-                )
+                fit = benchmark.fit_ar1(series, benchmark.quarter_cutoff(origin),
+                                        min_obs=config.ar_min_obs, window=config.ar_window)
+                return benchmark.benchmark_forecast(series, origin, horizon_of(origin, target_year), fit)
             except ValueError:
                 return None
 
