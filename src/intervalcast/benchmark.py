@@ -199,7 +199,8 @@ def benchmark_forecast(
             )
         values.append(observed)
     last_value = series.value(cutoff)
-    assert last_value is not None  # the fit's run ends at the cutoff
+    if last_value is None:
+        raise InsufficientQuarterlyHistoryError(f"missing observed quarter {cutoff} at origin cutoff")
     return aggregate_annual(values + forecast_ar1_path(fit, last_value, len(ANNUAL_WEIGHTS) - len(values)))
 
 

@@ -14,11 +14,11 @@ import json
 import os
 import sys
 from dataclasses import fields
-from typing import Any, Callable, NoReturn, Optional, TextIO
+from typing import Any, NoReturn, Optional
 
 from intervalcast.domain import ReleaseDate, Season
 from intervalcast.errorsets import ErrorMethod
-from intervalcast.ingest import ForecastPanel, parse_forecast_panel, parse_quarterly
+from intervalcast.ingest import ForecastPanel, parse_forecast_panel, parse_quarterly, read_input
 from intervalcast.pipeline import (
     RunConfig,
     evaluation_report,
@@ -47,9 +47,9 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "--quarterly-data": {"help": "quarterly benchmark CSV"},
     "--out": {"help": "output directory"},
     "--levels": {"help": "comma-separated confidence levels, e.g. 0.5,0.8"},
-    "--window": {"type": int, "help": "rolling window length R"},
-    "--error-method": {"choices": ["absolute", "directional"]},
-    "--quantile-method": {"choices": ["type1", "type7", "inverse-ecdf", "linear"]},
+    "--window": {"help": "rolling window length R"},
+    "--error-method": {"help": "absolute or directional"},
+    "--quantile-method": {"help": "type1 (inverse-ecdf) or type7 (linear)"},
     "--train-span": {"help": "e.g. 1990-2012"},
     "--holdout-span": {"help": "e.g. 2013-2023"},
     "--methods": {"help": "comma-separated subset of imf,ar,external"},
@@ -65,24 +65,14 @@ def _config_from_args(args: argparse.Namespace, config_path: Optional[str] = Non
     return load_config(args.config or config_path, **overrides)
 
 
-def _read_csv(path: str, parse: Callable[[TextIO], Any]) -> Any:
-    """``parse`` of the UTF-8 CSV file at ``path``, after the byte-order mark a
-    spreadsheet export starts with, if any; text that is not UTF-8 names the file."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        try:
-            return parse(fh)
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-
 def _load_panel(path: Optional[str]) -> ForecastPanel:
     if not path:
         raise ValueError("--data (or config 'data') is required")
-    return _read_csv(path, lambda fh: parse_forecast_panel(fh, source=path))
+    return read_input(path, lambda fh: parse_forecast_panel(fh, source=path))
 
 
 def _load_quarterly(path: Optional[str]):
-    return _read_csv(path, parse_quarterly) if path else None
+    return read_input(path, parse_quarterly) if path else None
 
 
 def _load_external(path: Optional[str]) -> Optional[ForecastPanel]:
@@ -132,11 +122,11 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
+    origin = ReleaseDate(args.origin_year, Season.parse(args.origin_season))
     config = _config_from_args(args)
     panel = _load_panel(config.data)
     quarterly = _load_quarterly(config.quarterly_data)
     external = _load_external(config.external_forecasts)
-    origin = ReleaseDate(args.origin_year, Season.parse(args.origin_season))
     text, gaps = produce_forecast(config, panel, origin, quarterly=quarterly, external=external)
     out_path, _ = write_outputs(config.out, [
         (f"intervals_{origin}.csv", text), (f"gaps_{origin}.json", gaps_json(gaps)),
@@ -154,11 +144,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     exclusions and no pooled cells, and a warning that the run's config is
     unknown."""
     audit_path = args.audit or os.path.join(_config_from_args(args).out, "audit.json")
-    with open(audit_path, encoding="utf-8") as fh:
-        try:
-            rows = json.load(fh)
-        except ValueError as exc:  # malformed JSON or text that is not UTF-8
-            raise ValueError(f"{audit_path}: {exc}") from None
+    rows = read_input(audit_path, json.load)
     if not isinstance(rows, list):
         raise ValueError(f"{audit_path}: an audit must be an array of objects, not {type(rows).__name__}")
     run_json = os.path.join(os.path.dirname(audit_path), "run.json")
@@ -202,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="comma-separated window lengths (default 4..11)")
     commands["forecast"].add_argument("--origin-year", dest="origin_year", type=int, required=True)
     commands["forecast"].add_argument("--origin-season", dest="origin_season", required=True,
-                                      choices=["S", "F"])
+                                      help="S (spring) or F (fall)")
     commands["report"].add_argument("--audit", help="path to audit.json (default <out>/audit.json); "
                                     "the run's config is read from run.json beside it")
     return parser

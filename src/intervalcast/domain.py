@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
@@ -24,7 +25,25 @@ class UnsupportedHorizonError(ValueError):
     """Raised when an (origin, target-year) pair maps to no supported horizon."""
 
 
-class Season(Enum):
+class Token(Enum):
+    """An enum read from text: a member's value or name in any case, with
+    ``-`` read as ``_`` and surrounding spaces ignored."""
+
+    @classmethod
+    def _missing_(cls, value: object) -> "Token":
+        key = value.strip().lower().replace("-", "_") if isinstance(value, str) else None
+        for name, member in cls.__members__.items():  # aliases too
+            if key in (member.value.lower().replace("-", "_"), name.lower()):
+                return member
+        noun = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()
+        raise ValueError(f"unknown {noun} {value!r} (expected {' or '.join(m.value for m in cls)})")
+
+    @classmethod
+    def parse(cls, token: str) -> "Token":
+        return cls(token)
+
+
+class Season(Token):
     """Release season; the spring edition of a year precedes the fall edition."""
 
     SPRING = "S"
@@ -32,14 +51,6 @@ class Season(Enum):
 
     def __init__(self, token: str) -> None:
         self.rank = 0 if token == "S" else 1  # a year's order: spring, then fall
-
-    @classmethod
-    def parse(cls, token: str) -> "Season":
-        token = token.strip().upper()
-        for s in cls:
-            if token in (s.value, s.name):
-                return s
-        raise ValueError(f"unknown season {token!r} (expected S or F)")
 
 
 @total_ordering

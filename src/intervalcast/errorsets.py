@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from enum import Enum
 from itertools import repeat
 from operator import gt, le
 from typing import Any, Optional, Protocol
 
-from intervalcast.domain import Horizon, ReleaseDate, TargetId
+from intervalcast.domain import Horizon, ReleaseDate, TargetId, Token
 
 # ``typing.Callable`` would cache these subscriptions and so keep every
 # imported ``TargetId`` class alive across re-imports of the package.
@@ -43,17 +42,9 @@ class InsufficientHistoryError(ValueError):
         self.required = required
 
 
-class ErrorMethod(Enum):
+class ErrorMethod(Token):
     ABSOLUTE = "absolute"
     DIRECTIONAL = "directional"
-
-    @classmethod
-    def parse(cls, token: str) -> "ErrorMethod":
-        token = token.strip().lower()
-        for m in cls:
-            if token == m.value:
-                return m
-        raise ValueError(f"unknown error method {token!r}")
 
 
 def forecast_error(realized: float, forecast: float, method: ErrorMethod) -> float:

@@ -18,16 +18,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from intervalcast.benchmark import QuarterlySeries
-from intervalcast.domain import ReleaseDate, Season, Table, TargetId, horizon_of
+from intervalcast.domain import ReleaseDate, Season, Table, TargetId, Token, horizon_of
 
 FORECAST_HEADER = [
     "country",
@@ -56,7 +56,7 @@ class TruthUnavailableError(LookupError):
     pass
 
 
-class FallbackRule(Enum):
+class FallbackRule(Token):
     LATEST_AVAILABLE = "latest-available-release"
     NONE = "none"
 
@@ -174,6 +174,28 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
+def read_input(path: str, parse: Callable[[TextIO], Any]) -> Any:
+    """``parse`` of the UTF-8 file at ``path``, after the byte-order mark a spreadsheet
+    export starts with, if any; text that is not UTF-8 or not JSON names the file."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        try:
+            return parse(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _rows(stream: TextIO, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The line and stripped cells of each nonblank row below ``header``."""
+    reader = csv.reader(stream)
+    _check_header(reader, header)
+    for line, row in enumerate(reader, start=2):
+        if not any(cells := [c.strip() for c in row]):
+            continue
+        if len(cells) != len(header):
+            raise SchemaMismatchError(f"line {line}: expected {len(header)} columns, got {len(row)}")
+        yield line, cells
+
+
 def _check_header(reader: Iterator[list[str]], expected: list[str]) -> None:
     row = next(reader, None)  # the header
     if row is None:
@@ -210,8 +232,6 @@ def parse_forecast_panel(stream: TextIO, source: str = "") -> ForecastPanel:
     ``panel.skipped`` with their line numbers. Duplicate keys and malformed
     rows raise with line-numbered diagnostics. Equal targets and releases share one object.
     """
-    reader = csv.reader(stream)
-    _check_header(reader, FORECAST_HEADER)
     forecasts: dict[tuple[TargetId, ReleaseDate, int], float] = {}
     realizations: dict[tuple[TargetId, int, ReleaseDate], float] = {}
     skipped: list[tuple[int, str]] = []
@@ -222,14 +242,8 @@ def parse_forecast_panel(stream: TextIO, source: str = "") -> ForecastPanel:
     horizons = Table(lambda t: horizon_of(origins[t[:2]], years[t[2]]))
     # The line of each forecast and realization key, in insertion order.
     lines: dict[str, list[int]] = {"forecast": [], "realization": []}
-    for line, row in enumerate(reader, start=2):
-        if not any(cells := [c.strip() for c in row]):
-            continue
+    for line, cells in _rows(stream, FORECAST_HEADER):
         try:
-            if len(cells) != len(FORECAST_HEADER):
-                raise SchemaMismatchError(
-                    f"expected {len(FORECAST_HEADER)} columns, got {len(row)}"
-                )
             country, variable, kind, oy, os_, ty, vy, vs, value_token = cells
             value = _parse_value(value_token)
             if value is None:
@@ -334,20 +348,12 @@ def parse_quarterly(
     are taken as quarterly growth rates already in percent. Missing quarters
     are left as gaps for the series to report.
     """
-    reader = csv.reader(stream)
-    _check_header(reader, QUARTERLY_HEADER)
     index_set = set(index_variables)
     years, quarters = Table(lambda t: _parse_int(t, "year")), Table(lambda t: _parse_int(t, "quarter"))
     levels = Table(lambda names: (TargetId(*names), {}))  # names -> (target, (year, quarter) -> value)
     first_lines: dict[tuple[str, str, int, int], int] = {}
-    for line, row in enumerate(reader, start=2):
-        if not any(cells := [c.strip() for c in row]):
-            continue
+    for line, cells in _rows(stream, QUARTERLY_HEADER):
         try:
-            if len(cells) != len(QUARTERLY_HEADER):
-                raise SchemaMismatchError(
-                    f"expected {len(QUARTERLY_HEADER)} columns, got {len(row)}"
-                )
             country, variable, year_tok, quarter_tok, value_token = cells
             value = _parse_value(value_token)
             if value is None:

@@ -53,6 +53,7 @@ from intervalcast.ingest import (
     PanelTruthSelector,
     TruthUnavailableError,
     csv_text,
+    read_input,
     select_truth,
 )
 from intervalcast.intervals import (
@@ -166,11 +167,7 @@ def load_config(path: Optional[str] = None, **overrides: object) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus keyword overrides."""
     raw: dict[str, object] = {}
     if path:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except ValueError as exc:  # malformed JSON or text that is not UTF-8
-                raise ValueError(f"config file {path}: {exc}") from None
+        raw = read_input(path, json.load)
         if not isinstance(raw, dict):
             raise ValueError(f"config file {path} must hold a JSON object, not {type(raw).__name__}")
     raw.update({k: v for k, v in overrides.items() if v is not None})
@@ -192,7 +189,7 @@ def load_config(path: Optional[str] = None, **overrides: object) -> RunConfig:
 # The parser of each key whose value a flag or a JSON string gives as text.
 _TEXT_PARSERS: dict[str, Callable[[str], object]] = {
     "error_method": ErrorMethod.parse, "quantile_method": QuantileMethod.parse, "train_span": parse_span,
-    "holdout_span": parse_span, "eval_as_of": ReleaseDate.parse, "truth_rule": FallbackRule,
+    "holdout_span": parse_span, "eval_as_of": ReleaseDate.parse, "truth_rule": FallbackRule.parse,
     "window": int, "ar_min_obs": int, "ar_window": int,
 }
 

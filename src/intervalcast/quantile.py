@@ -9,9 +9,10 @@ coincide, so interval endpoints equal observed errors directly.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import lru_cache
 from typing import Optional, Sequence
+
+from intervalcast.domain import Token
 
 
 class EmptyErrorSetError(ValueError):
@@ -22,23 +23,10 @@ class InvalidErrorValueError(ValueError):
     pass
 
 
-class QuantileMethod(Enum):
+class QuantileMethod(Token):
     INVERSE_ECDF = "type1"
     LINEAR = "type7"
-
-    @classmethod
-    def parse(cls, token: str) -> "QuantileMethod":
-        token = token.strip().lower().replace("-", "_")
-        aliases = {
-            "type1": cls.INVERSE_ECDF,
-            "inverse_ecdf": cls.INVERSE_ECDF,
-            "type7": cls.LINEAR,
-            "linear": cls.LINEAR,
-            "linear_interpolation": cls.LINEAR,
-        }
-        if token not in aliases:
-            raise ValueError(f"unknown quantile method {token!r}")
-        return aliases[token]
+    LINEAR_INTERPOLATION = "type7"  # an alias of LINEAR, read from text
 
 
 def empirical_quantile(

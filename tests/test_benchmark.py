@@ -237,6 +237,23 @@ class TestBenchmarkForecast:
         with pytest.raises(ValueError):
             benchmark_forecast(series, ReleaseDate(2018, Season.SPRING), Horizon.FALL_NEXT, Ar1Fit(0.0, 1.0, 39))
 
+    def test_unobserved_cutoff_quarter_is_insufficient_history(self):
+        # A series of 2019 alone holds no 2021Q1. An assert stopped this, and
+        # under ``python -O`` the AR(1) path then multiplied the fit by None.
+        call = ("series = QuarterlySeries(TargetId('USA', 'gdp'), {(2019, q): 1.0 for q in (1, 2, 3, 4)})\n"
+                "benchmark_forecast(series, ReleaseDate(2021, Season.SPRING), Horizon.SPRING_NEXT, "
+                "Ar1Fit(1.0, 0.5, 39))\n")
+        message = "missing observed quarter (2021, 1) at origin cutoff"
+        with pytest.raises(InsufficientQuarterlyHistoryError) as exc:
+            exec(call, dict(globals()))
+        assert str(exc.value) == message
+        imports = ("from intervalcast.benchmark import Ar1Fit, QuarterlySeries, benchmark_forecast\n"
+                   "from intervalcast.domain import Horizon, ReleaseDate, Season, TargetId\n")
+        out = subprocess.run([sys.executable, "-O", "-c", imports + call], env={**os.environ, "PYTHONPATH": str(SRC)},
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1
+        assert out.stderr.splitlines()[-1] == f"intervalcast.benchmark.InsufficientQuarterlyHistoryError: {message}"
+
 
 class TestSeriesBookkeeping:
     def test_fit_window_does_not_span_gaps(self):

@@ -453,14 +453,17 @@ class TestBadInput:
         self._assert_one_line_error(capsys, f"malformed audit row 5: no {part[:-1]} at level 0.5")
 
     @pytest.mark.parametrize("argv, fragment", [
-        (["backtest", "--window", "x"], "argument --window: invalid int value: 'x'"),
-        (["forecast", "--origin-year", "2020", "--origin-season", "X"], "argument --origin-season"),
+        (["backtest", "--window", "x"], "bad config value for window"),
+        (["forecast", "--origin-year", "2020", "--origin-season", "X"], "unknown season 'X' (expected S or F)"),
         ([], "required: command"),
     ])
     def test_usage_error_exits_one(self, capsys, argv, fragment):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 1
+        if argv:  # a flag's text is read as its config key's, not checked by argparse
+            assert main(argv) == 1
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
         self._assert_one_line_error(capsys, fragment)
 
     @pytest.mark.parametrize("command, flags", [
@@ -507,6 +510,56 @@ class TestBadInput:
         assert code == 1
         self._assert_one_line_error(capsys, fragment)
         assert not (tmp_path / "out").exists()
+
+
+class TestInputsReadAlike:
+    """Every input file may start with a byte-order mark, and a flag's text
+    reads as the same text under its key in a config file."""
+
+    @staticmethod
+    def _run(capsys, argv, out):
+        """Exit code, stdout, stderr and the bytes of each file in ``out``."""
+        code = main(argv)
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+        return code, captured.out, captured.err, files
+
+    @pytest.mark.parametrize("name", ["config.json", "run.json", "audit.json"])
+    def test_json_with_a_byte_order_mark_reads_as_without(self, backtest_out, panel_path, tmp_path, capsys, name):
+        # Each was read with plain UTF-8, and exited 1 with "Unexpected UTF-8 BOM".
+        out = tmp_path / "out"
+        if name == "config.json":
+            (tmp_path / name).write_text('{"window": 8, "levels": [0.5, 0.9]}')
+            argv = ["backtest", "--config", str(tmp_path / name), "--data", panel_path, "--out", str(out)]
+        else:
+            for part in ("audit.json", "run.json"):
+                (tmp_path / part).write_bytes((backtest_out / part).read_bytes())
+            argv = ["report", "--audit", str(tmp_path / "audit.json")]
+        plain = self._run(capsys, argv, out)
+        assert plain[0] == 0 and plain[1] and plain[2] == ""
+        (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
+        assert self._run(capsys, argv, out) == plain
+
+    @pytest.mark.parametrize("key, text", [
+        # argparse's choices and int() rejected the flag of all but " 7".
+        ("quantile_method", "inverse_ecdf"), ("quantile_method", "LINEAR"),
+        ("quantile_method", "linear_interpolation"), ("error_method", "ABSOLUTE"),
+        ("error_method", "Directional"), ("window", " 7"), ("window", "x"),
+    ])
+    def test_flag_reads_as_its_config_key(self, panel_path, tmp_path, capsys, key, text):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: text}))
+        runs = []
+        for name, args in (("flag", [f"--{key.replace('_', '-')}", text]), ("config", ["--config", str(config)])):
+            code, _, err, files = self._run(capsys, ["backtest", "--data", panel_path,
+                                                     "--out", str(tmp_path / name), *args], tmp_path / name)
+            runs.append((code, err, files.get("report.csv")))
+        assert runs[0] == runs[1]
+        if text == "x":
+            assert runs[0][:2] == (1, "error: bad config value for window: "
+                                      "invalid literal for int() with base 10: 'x'\n")
+        else:
+            assert runs[0][0] in (0, 2) and runs[0][2]
 
 
 def key_paths(obj, prefix=()):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intervalcast.domain import (
@@ -14,6 +14,11 @@ from intervalcast.domain import (
     horizon_of,
     validate_levels,
 )
+from intervalcast.errorsets import ErrorMethod
+from intervalcast.ingest import FallbackRule
+from intervalcast.quantile import QuantileMethod
+
+TOKEN_ENUMS = (Season, ErrorMethod, QuantileMethod, FallbackRule)
 
 
 def test_horizon_of_definitions():
@@ -107,3 +112,52 @@ def test_table_keeps_no_key_whose_fill_raises():
         with pytest.raises(ValueError, match="bad x"):
             table["x"]
     assert calls == ["x", "x"] and "x" not in table and len(table) == 0
+
+
+@pytest.mark.parametrize("enum, token, member", [
+    # Every token the enums' own ``parse`` methods, and ``FallbackRule``'s
+    # constructor, accepted before they shared one rule.
+    *[(Season, t, Season.SPRING) for t in ("S", "s", "spring", "SPRING", " S ")],
+    *[(Season, t, Season.FALL) for t in ("F", "f", "fall", "Fall")],
+    *[(ErrorMethod, t, ErrorMethod.ABSOLUTE) for t in ("absolute", "ABSOLUTE", " Absolute")],
+    *[(ErrorMethod, t, ErrorMethod.DIRECTIONAL) for t in ("directional", "Directional")],
+    *[(QuantileMethod, t, QuantileMethod.INVERSE_ECDF)
+      for t in ("type1", "TYPE1", "inverse_ecdf", "inverse-ecdf", "Inverse-ECDF")],
+    *[(QuantileMethod, t, QuantileMethod.LINEAR)
+      for t in ("type7", "linear", "LINEAR", "linear_interpolation", "linear-interpolation")],
+    (FallbackRule, "latest-available-release", FallbackRule.LATEST_AVAILABLE),
+    (FallbackRule, "none", FallbackRule.NONE),
+])
+def test_token_accepted_by_the_old_parsers_still_parses(enum, token, member):
+    assert enum.parse(token) is member and enum(token) is member
+
+
+def test_token_enums_keep_their_members_and_nouns():
+    assert list(QuantileMethod) == [QuantileMethod.INVERSE_ECDF, QuantileMethod.LINEAR]
+    assert QuantileMethod.LINEAR_INTERPOLATION is QuantileMethod.LINEAR
+    for enum, noun in ((Season, "season"), (ErrorMethod, "error method"),
+                       (QuantileMethod, "quantile method"), (FallbackRule, "fallback rule")):
+        with pytest.raises(ValueError, match=f"^unknown {noun} 'x' "):
+            enum.parse("x")
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_token_enum_reads_a_value_or_name_in_any_case(data):
+    enum = data.draw(st.sampled_from(TOKEN_ENUMS))
+    name, member = data.draw(st.sampled_from(list(enum.__members__.items())))  # aliases too
+    text = data.draw(st.sampled_from([name, member.value]))
+    spelled = data.draw(st.tuples(*(st.sampled_from("-_" if c in "-_" else (c.lower(), c.upper())) for c in text)))
+    pad = st.text(" \t\n", max_size=2)
+    assert enum.parse(data.draw(pad) + "".join(spelled) + data.draw(pad)) is member
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from(TOKEN_ENUMS),
+       st.one_of(st.text(max_size=12), st.sampled_from(["X", "latest", "abs", "type 1", "inverse ecdf", "lin", ""])))
+def test_token_enum_rejects_other_text_naming_its_values(enum, text):
+    accepted = {t.lower().replace("-", "_") for name, m in enum.__members__.items() for t in (name, m.value)}
+    assume(text.strip().lower().replace("-", "_") not in accepted)
+    with pytest.raises(ValueError) as exc:
+        enum.parse(text)
+    assert str(exc.value).endswith(f" {text!r} (expected {' or '.join(m.value for m in enum)})")
