@@ -29,6 +29,8 @@ class Token(Enum):
     """An enum read from text: a member's value or name in any case, with
     ``-`` read as ``_`` and surrounding spaces ignored."""
 
+    __hash__ = object.__hash__  # members are singletons compared by identity
+
     @classmethod
     def _missing_(cls, value: object) -> "Token":
         key = value.strip().lower().replace("-", "_") if isinstance(value, str) else None
@@ -94,6 +96,7 @@ class Horizon(Enum):
     SPRING_CURRENT = (Season.SPRING, 0)
     FALL_NEXT = (Season.FALL, 1)
     SPRING_NEXT = (Season.SPRING, 1)
+    __hash__ = object.__hash__  # as ``Token``'s
 
     def __init__(self, season: Season, year_offset: int) -> None:
         self.season = season

@@ -15,8 +15,9 @@ import math
 import os
 import sys
 from bisect import insort
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from intervalcast import benchmark
@@ -69,6 +70,9 @@ from intervalcast.quantile import InvalidErrorValueError, QuantileMethod, index_
 from intervalcast.scoring import (
     EvaluationReport,
     WisWeights,
+    _json_list,
+    _json_number,
+    _layout,
     aggregate_report,
     audit_row,
     mean,
@@ -199,7 +203,9 @@ def _config_value(key: str, value: object) -> object:
     text is parsed and arrays become tuples; any other value reaches
     ``RunConfig``'s type checks as given."""
     if key in ("levels", "methods", "exclude") and isinstance(value, str):
-        value = [v for v in value.split(",") if v]
+        if "" in value.split(","):
+            raise ValueError(f"empty item in comma list {value!r}")
+        value = value.split(",")
     if isinstance(value, list):
         value = tuple(value)
     if key == "levels" and isinstance(value, tuple):
@@ -505,11 +511,24 @@ class TuningReport:
         ))
 
     def to_json(self) -> str:
-        rows = [
-            {**asdict(r), "coverage": {str(tau): c for tau, c in sorted(r.coverage.items())}}
-            for r in self.rows
-        ]
-        return json.dumps({"levels": list(self.levels), "rows": rows}, indent=2, sort_keys=True) + "\n"
+        """The text of ``json.dumps({"levels", "rows"}, indent=2, sort_keys=True) + "\\n"``, coverage
+        keyed by ``str(level)``, each row through the ``%`` template of its coverage keys."""
+        text, number, templates = encode_basestring_ascii, _json_number, Table(_tuning_template)
+        rows = []
+        for r in self.rows:
+            template, taus = templates[tuple(r.coverage)]
+            rows.append(template % (*(number(r.coverage[tau]) for tau in taus), text(r.error_method),
+                                    "true" if r.feasible else "false", text(r.horizon),
+                                    "null" if r.mean_wis is None else number(r.mean_wis), r.n,
+                                    text(r.quantile_method), text(r.variable), r.window))
+        return f'{{\n  "levels": {_json_list(map(number, self.levels))},\n  "rows": {_json_list(rows)}\n}}\n'
+
+
+def _tuning_template(taus: tuple[float, ...]) -> tuple[str, list[float]]:
+    """A row's template at coverage levels ``taus``, and ``taus`` sorted as strings, as json sorts keys."""
+    slots, ordered = dict.fromkeys(sorted(f.name for f in fields(TuningRow)), "%s"), sorted(taus, key=str)
+    slots["coverage"] = _layout(dict.fromkeys(map(str, ordered), "%s"), "      ") if taus else "{}"
+    return _layout(slots, "    "), ordered
 
 
 def run_tuning(

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -211,6 +213,17 @@ def pool_adjacent_horizons(columns):
         for k, tau in enumerate(levels)
     }
     return corrected, blocks
+
+
+def dumped_tuning(report) -> str:
+    """``tuning.json`` as ``json.dumps`` renders it, each row through
+    ``asdict`` with its coverage keyed by ``str(level)``: the oracle of
+    ``TuningReport.to_json``."""
+    rows = [
+        {**asdict(r), "coverage": {str(tau): c for tau, c in sorted(r.coverage.items())}}
+        for r in report.rows
+    ]
+    return json.dumps({"levels": list(report.levels), "rows": rows}, indent=2, sort_keys=True) + "\n"
 
 
 def tuning_cell(report, window, error_method, quantile_method, variable, horizon):

@@ -253,7 +253,7 @@ class TestBadInput:
         ("truth_rule", "latest"), ("ar_window", "eight"), ("ar_min_obs", [20]),
         # These ran: an empty method list wrote header-only files, and
         # ar_window -3 fitted on all but the first two quarters of a run.
-        ("methods", ""), ("ar_window", -3), ("ar_min_obs", 0),
+        ("methods", ""), ("methods", []), ("ar_window", -3), ("ar_min_obs", 0),
     ])
     def test_bad_config_value_exits_one(self, panel_path, tmp_path, capsys, key, value):
         config = tmp_path / "config.json"
@@ -509,6 +509,25 @@ class TestBadInput:
                      "--grid-windows", windows])
         assert code == 1
         self._assert_one_line_error(capsys, fragment)
+        assert not (tmp_path / "out").exists()
+
+    # One rule for comma lists, as for --grid-windows: each of these dropped
+    # its empty item and ran, writing outputs.
+    @pytest.mark.parametrize("key, text", [
+        ("levels", "0.5,,0.8"), ("levels", ",0.5"), ("methods", "imf,"),
+        ("exclude", "AAA:2013-2014,"), ("exclude", ","),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_comma_list_with_an_empty_item_exits_one(self, panel_path, tmp_path, capsys, key, text, source):
+        argv = ["backtest", "--data", panel_path, "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += [f"--{key}", text]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: text}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        self._assert_one_line_error(capsys, f"bad config value for {key}", "empty item", repr(text))
         assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,7 @@
+import copy
+import io
 import itertools
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,12 +13,14 @@ from intervalcast.domain import (
     ReleaseDate,
     Season,
     Table,
+    TargetId,
+    Token,
     UnsupportedHorizonError,
     horizon_of,
     validate_levels,
 )
 from intervalcast.errorsets import ErrorMethod
-from intervalcast.ingest import FallbackRule
+from intervalcast.ingest import FallbackRule, parse_forecast_panel
 from intervalcast.quantile import QuantileMethod
 
 TOKEN_ENUMS = (Season, ErrorMethod, QuantileMethod, FallbackRule)
@@ -161,3 +166,29 @@ def test_token_enum_rejects_other_text_naming_its_values(enum, text):
     with pytest.raises(ValueError) as exc:
         enum.parse(text)
     assert str(exc.value).endswith(f" {text!r} (expected {' or '.join(m.value for m in enum)})")
+
+
+def test_enum_members_hash_by_identity_and_stay_singletons():
+    # Members are compared by identity, so an identity hash agrees with
+    # equality and keys holding them hash in C.
+    assert set(Token.__subclasses__()) == set(TOKEN_ENUMS)
+    for enum in (*TOKEN_ENUMS, Horizon):
+        for member in enum.__members__.values():  # aliases too
+            assert hash(member) == object.__hash__(member)
+            assert pickle.loads(pickle.dumps(member)) is member
+            assert copy.deepcopy(member) is member and copy.copy(member) is member
+    assert QuantileMethod.LINEAR_INTERPOLATION is QuantileMethod.LINEAR
+
+
+def test_parsed_panel_answers_keys_built_elsewhere():
+    panel = parse_forecast_panel(io.StringIO(
+        "country,variable,kind,origin_year,origin_season,target_year,vintage_year,vintage_season,value\n"
+        "AAA,gdp,forecast,2020,S,2021,NA,NA,1.5\n"
+        "AAA,gdp,forecast,2021,f,2021,NA,NA,2.5\n"
+        "AAA,gdp,realization,NA,NA,2021,2022,spring,3.5\n"
+    ))
+    target = TargetId("AAA", "gdp")
+    assert panel.forecast(target, Horizon.SPRING_NEXT.origin_for(2021), 2021) == 1.5
+    assert panel.forecast(target, ReleaseDate(2020, Season.parse("spring")), 2021) == 1.5
+    assert panel.forecast(target, Horizon.FALL_CURRENT.origin_for(2021), 2021) == 2.5
+    assert panel.realizations[target, 2021, ReleaseDate(2022, Season.parse("spring"))] == 3.5

@@ -54,7 +54,7 @@ from intervalcast.scoring import (
     weighted_interval_score,
 )
 
-from conftest import interval_from_offsets, make_panel, tuning_cell, without
+from conftest import dumped_tuning, interval_from_offsets, make_panel, tuning_cell, without
 from test_intervals import rescanning_pool
 
 TARGET = TargetId("AAA", "gdp")
@@ -480,7 +480,7 @@ def test_tuning_output_is_byte_identical_to_rebuilding_loop(panel, config, grid)
     expected = reference_tuning(config, panel, grid)
     actual = run_tuning(config, panel, grid)
     assert actual.to_csv() == expected.to_csv()
-    assert actual.to_json() == expected.to_json()
+    assert actual.to_json() == expected.to_json() == dumped_tuning(expected)
 
 
 def test_tuning_statistics_match_a_hand_computation():

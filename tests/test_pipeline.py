@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,6 +16,8 @@ from intervalcast.ingest import FallbackRule, ForecastPanel, PanelTruthSelector
 from intervalcast.pipeline import (
     ErrorHistory,
     RunConfig,
+    TuningReport,
+    TuningRow,
     _ar_lookup,
     build_grid,
     fresh_horizons,
@@ -29,7 +32,7 @@ from intervalcast.pipeline import (
 )
 from intervalcast.quantile import QuantileMethod
 
-from conftest import make_panel, tuning_cell, without
+from conftest import dumped_tuning, make_panel, tuning_cell, without
 
 TARGET = TargetId("AAA", "gdp")
 
@@ -597,6 +600,47 @@ class TestRunTuning:
     def test_bad_grid_point_rejected_by_window(self, grid, match):
         with pytest.raises(ValueError, match=match):
             run_tuning(RunConfig(), backtest_panel(2), grid)
+
+
+# Level sets whose keys sort otherwise as strings than as numbers ("1e-05"
+# after "0.5"), values json writes in a form of its own, and names that need
+# escaping or hold ``%``.
+tuning_levels = st.one_of(
+    st.just((1e-05, 0.5)),
+    st.lists(st.one_of(st.sampled_from([1e-05, 2.5e-07, 0.05, 0.5, 0.8, 0.95]),
+                       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+             unique=True, min_size=1, max_size=4).map(lambda taus: tuple(sorted(taus))),
+)
+tuning_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 1.0, 5e-324, math.nan, math.inf, -math.inf]), st.floats(),
+).flatmap(lambda x: st.sampled_from([x, np.float64(x)]))
+tuning_names = st.one_of(st.sampled_from(["absolute", "type7", "%s %%", "\x00\"\\", "Ünïcødé"]),
+                         st.text(max_size=8))
+
+
+@st.composite
+def tuning_reports(draw):
+    """A report of feasible rows, whose coverage holds the levels or some of
+    them in any order, and infeasible rows, possibly none of either."""
+    levels = draw(tuning_levels)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        names = [draw(tuning_names) for _ in range(4)]
+        window = draw(st.integers(1, 10**6))
+        if draw(st.booleans()):
+            taus = draw(st.permutations(levels))[:draw(st.integers(0, len(levels)))]
+            rows.append(TuningRow(window, *names, mean_wis=draw(tuning_values),
+                                  coverage={tau: draw(tuning_values) for tau in taus},
+                                  n=draw(st.integers(1, 10**6)), feasible=True))
+        else:
+            rows.append(TuningRow(window, *names, mean_wis=None, coverage={}, n=0, feasible=False))
+    return TuningReport(levels=levels, rows=rows)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(tuning_reports())
+def test_tuning_json_is_json_dumps_text(report):
+    assert report.to_json() == dumped_tuning(report)
 
 
 class TestProduceForecast:
