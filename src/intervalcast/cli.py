@@ -16,9 +16,9 @@ import sys
 from dataclasses import fields
 from typing import Any, NoReturn, Optional
 
-from intervalcast.domain import ReleaseDate, Season
+from intervalcast.domain import POOLED, ReleaseDate, Season
 from intervalcast.errorsets import ErrorMethod
-from intervalcast.ingest import ForecastPanel, parse_forecast_panel, parse_quarterly, read_input
+from intervalcast.ingest import ForecastPanel, csv_text, parse_forecast_panel, parse_quarterly, read_input
 from intervalcast.pipeline import (
     RunConfig,
     evaluation_report,
@@ -30,7 +30,7 @@ from intervalcast.pipeline import (
     write_backtest_outputs,
     write_outputs,
 )
-from intervalcast.scoring import POOLED, check_rows
+from intervalcast.scoring import check_rows
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,12 +154,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not known:
         print(f"warning: no {run_json}; printing per-target cells of every audit row, "
               "without the run's exclusions or pooled cells", file=sys.stderr)
-    report = evaluation_report(rows, config)
-    lines = ["country,variable,horizon,method,mean_wis,n"]
-    for key, stats in sorted(report.cells.items()):
-        if known or key[0] != POOLED:
-            lines.append(",".join([*key, format(stats.mean_wis, ".10g"), str(stats.n)]))
-    print("\n".join(lines))
+    cells = sorted(evaluation_report(rows, config).cells.items())
+    print(csv_text(["country", "variable", "horizon", "method", "mean_wis", "n"], (
+        [*key, format(stats.mean_wis, ".10g"), stats.n] for key, stats in cells if known or key[0] != POOLED
+    )), end="")
     return 0
 
 

@@ -142,6 +142,8 @@ class TargetId:
     def __post_init__(self) -> None:
         if not self.country or not self.variable:
             raise ValueError("country and variable must be nonempty")
+        if self.country == POOLED:
+            raise ValueError(f"country name {POOLED!r} is reserved for the report's pooled cells")
 
 
 def validate_levels(levels: tuple[float, ...]) -> tuple[float, ...]:
@@ -157,3 +159,4 @@ def validate_levels(levels: tuple[float, ...]) -> tuple[float, ...]:
 
 
 DEFAULT_LEVELS = (0.5, 0.8)
+POOLED = "pooled"  # the country of the report's country-pooled cells, which no target may take

@@ -319,18 +319,17 @@ def select_truth(
 
 @dataclass(frozen=True)
 class PanelTruthSelector:
-    """Realization selector backed by a forecast panel and truth rule."""
+    """Error-history truths of a forecast panel under a truth rule: ``select_truth``'s construction mode."""
 
     panel: ForecastPanel
     rule: FallbackRule = FallbackRule.LATEST_AVAILABLE
-    mode: str = "construction"
 
     def __call__(self, target: TargetId, year: int, as_of: ReleaseDate) -> Optional[float]:
         # Years that have not ended cannot serve as error-history truths.
         if year >= as_of.year:
             return None
         try:
-            return select_truth(self.panel, target, year, as_of, self.rule, mode=self.mode)
+            return select_truth(self.panel, target, year, as_of, self.rule, mode="construction")
         except TruthUnavailableError:
             return None
 

@@ -15,9 +15,8 @@ import math
 import os
 import sys
 from bisect import insort
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from intervalcast import benchmark
@@ -69,10 +68,9 @@ from intervalcast.intervals import (
 from intervalcast.quantile import InvalidErrorValueError, QuantileMethod, index_table, read_sorted, sorted_samples
 from intervalcast.scoring import (
     EvaluationReport,
+    TuningReport,
+    TuningRow,
     WisWeights,
-    _json_list,
-    _json_number,
-    _layout,
     aggregate_report,
     audit_row,
     mean,
@@ -373,7 +371,7 @@ def _sources(
     external: Optional[ForecastPanel],
 ) -> list[tuple[str, ForecastLookup, TruthSelector]]:
     """``(label, forecasts, error-history truths)`` of each configured method."""
-    panel_truths = PanelTruthSelector(panel, config.truth_rule, mode="construction")
+    panel_truths = PanelTruthSelector(panel, config.truth_rule)
     out: list[tuple[str, ForecastLookup, TruthSelector]] = []
     for label in config.methods:
         if label == "imf":
@@ -483,54 +481,6 @@ def evaluation_report(rows: Iterable[dict], config: RunConfig) -> EvaluationRepo
     return aggregate_report(rows, config.levels, exclusions=config.exclude)
 
 
-@dataclass
-class TuningRow:
-    window: int
-    error_method: str
-    quantile_method: str
-    variable: str
-    horizon: str
-    mean_wis: Optional[float]
-    coverage: dict[float, float]
-    n: int
-    feasible: bool
-
-
-@dataclass
-class TuningReport:
-    levels: tuple[float, ...]
-    rows: list[TuningRow] = field(default_factory=list)
-
-    def to_csv(self) -> str:
-        return csv_text(["window", "error_method", "quantile_method", "variable", "horizon",
-                         "mean_wis", "n", "feasible", *(f"coverage_{tau}" for tau in self.levels)], (
-            [r.window, r.error_method, r.quantile_method, r.variable, r.horizon,
-             "" if r.mean_wis is None else format(r.mean_wis, ".10g"), r.n, int(r.feasible),
-             *("" if tau not in r.coverage else format(r.coverage[tau], ".10g") for tau in self.levels)]
-            for r in self.rows
-        ))
-
-    def to_json(self) -> str:
-        """The text of ``json.dumps({"levels", "rows"}, indent=2, sort_keys=True) + "\\n"``, coverage
-        keyed by ``str(level)``, each row through the ``%`` template of its coverage keys."""
-        text, number, templates = encode_basestring_ascii, _json_number, Table(_tuning_template)
-        rows = []
-        for r in self.rows:
-            template, taus = templates[tuple(r.coverage)]
-            rows.append(template % (*(number(r.coverage[tau]) for tau in taus), text(r.error_method),
-                                    "true" if r.feasible else "false", text(r.horizon),
-                                    "null" if r.mean_wis is None else number(r.mean_wis), r.n,
-                                    text(r.quantile_method), text(r.variable), r.window))
-        return f'{{\n  "levels": {_json_list(map(number, self.levels))},\n  "rows": {_json_list(rows)}\n}}\n'
-
-
-def _tuning_template(taus: tuple[float, ...]) -> tuple[str, list[float]]:
-    """A row's template at coverage levels ``taus``, and ``taus`` sorted as strings, as json sorts keys."""
-    slots, ordered = dict.fromkeys(sorted(f.name for f in fields(TuningRow)), "%s"), sorted(taus, key=str)
-    slots["coverage"] = _layout(dict.fromkeys(map(str, ordered), "%s"), "      ") if taus else "{}"
-    return _layout(slots, "    "), ordered
-
-
 def run_tuning(
     config: RunConfig,
     panel: ForecastPanel,
@@ -559,7 +509,7 @@ def run_tuning(
     t0, t1 = config.train_span
     cutoff = ReleaseDate(t1 + 1, Season.FALL)
     view = panel.until_vintage(cutoff, t1)
-    truths = PanelTruthSelector(view, config.truth_rule, mode="construction")
+    truths = PanelTruthSelector(view, config.truth_rule)
     history = ErrorHistory(view.forecast, truths, max(w for w, _, _ in grid))
     variables = view.variables()
     # Scorable (target, year, point, outcome) per (variable, horizon) cell.

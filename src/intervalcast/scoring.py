@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, reduce
 from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, Table
+from intervalcast.domain import HORIZONS, POOLED, Horizon, ReleaseDate, Table
 from intervalcast.ingest import csv_text
 from intervalcast.intervals import IntervalGrid, PredictionInterval
-
-POOLED = "pooled"
 
 
 @dataclass(frozen=True)
@@ -124,6 +122,10 @@ class CellStats:
     mean_is: dict[float, float]
 
 
+# The columns of ``report.csv``, and the fields of each row ``to_rows`` gives.
+REPORT_HEADER = ("country", "variable", "horizon", "method", "level", "metric", "value", "n")
+
+
 @dataclass
 class EvaluationReport:
     """Per-cell aggregates plus country-pooled cells (country = 'pooled')."""
@@ -132,44 +134,74 @@ class EvaluationReport:
     cells: dict[tuple[str, str, str, str], CellStats] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
-    def to_rows(self) -> list[dict[str, object]]:
-        rows: list[dict[str, object]] = []
-        for (country, variable, horizon, method), stats in sorted(self.cells.items()):
-            base = dict(country=country, variable=variable, horizon=horizon, method=method)
-            rows.append({**base, "level": "", "metric": "wis", "value": stats.mean_wis, "n": stats.n})
-            rows.append({**base, "level": "", "metric": "dispersion", "value": stats.mean_dispersion, "n": stats.n})
-            rows.append({**base, "level": "", "metric": "overprediction", "value": stats.mean_overprediction, "n": stats.n})
-            rows.append({**base, "level": "", "metric": "underprediction", "value": stats.mean_underprediction, "n": stats.n})
-            for tau in self.levels:
-                rows.append({**base, "level": tau, "metric": "interval_score", "value": stats.mean_is[tau], "n": stats.n})
-                rows.append({**base, "level": tau, "metric": "coverage", "value": stats.coverage[tau], "n": stats.n})
-                rows.append({**base, "level": tau, "metric": "mean_length", "value": stats.mean_length[tau], "n": stats.n})
+    def to_rows(self) -> list[tuple]:
+        """One tuple per cell and metric, its fields in ``REPORT_HEADER``'s
+        order; ``level`` is ``""`` for the WIS and its three components."""
+        rows: list[tuple] = []
+        for cell, s in sorted(self.cells.items()):
+            rows += [(*cell, "", metric, value, s.n) for metric, value in (
+                ("wis", s.mean_wis), ("dispersion", s.mean_dispersion),
+                ("overprediction", s.mean_overprediction), ("underprediction", s.mean_underprediction))]
+            rows += [(*cell, tau, metric, values[tau], s.n) for tau in self.levels for metric, values in (
+                ("interval_score", s.mean_is), ("coverage", s.coverage), ("mean_length", s.mean_length))]
         return rows
 
     def to_csv(self) -> str:
-        return csv_text(["country", "variable", "horizon", "method", "level", "metric", "value", "n"], (
-            [row["country"], row["variable"], row["horizon"], row["method"],
-             row["level"], row["metric"], format(row["value"], ".10g"), row["n"]]
-            for row in self.to_rows()
-        ))
+        return csv_text(REPORT_HEADER, ((*row[:6], format(row[6], ".10g"), row[7]) for row in self.to_rows()))
 
     def to_json(self) -> str:
         """The text of ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``
-        for the payload ``{"levels", "rows", "warnings"}``, each row rendered
-        through one template, its value as ``float(value)``."""
+        for the payload ``{"levels", "rows", "warnings"}``, each row an object
+        of ``REPORT_HEADER``'s fields, its value as ``float(value)``."""
         text, number = encode_basestring_ascii, _json_number
         rows = [
-            _REPORT_ROW % (
-                text(row["country"]), text(row["horizon"]),
-                '""' if row["level"] == "" else number(row["level"]),  # type: ignore[arg-type]
-                text(row["method"]), text(row["metric"]), int.__repr__(row["n"]),  # type: ignore[arg-type]
-                number(float(row["value"])), text(row["variable"]),  # type: ignore[arg-type]
-            )
-            for row in self.to_rows()
+            _REPORT_ROW % (text(country), text(horizon), '""' if level == "" else number(level), text(method),
+                           text(metric), int.__repr__(n), number(float(value)), text(variable))
+            for country, variable, horizon, method, level, metric, value, n in self.to_rows()
         ]
-        return (f'{{\n  "levels": {_json_list(map(number, self.levels))},'
-                f'\n  "rows": {_json_list(rows)},'
-                f'\n  "warnings": {_json_list(map(text, self.warnings))}\n}}\n')
+        return _json_template(("levels", "rows", "warnings"), "") % (
+            _json_list(map(number, self.levels)), _json_list(rows), _json_list(map(text, self.warnings))) + "\n"
+
+
+@dataclass
+class TuningRow:
+    window: int
+    error_method: str
+    quantile_method: str
+    variable: str
+    horizon: str
+    mean_wis: Optional[float]
+    coverage: dict[float, float]
+    n: int
+    feasible: bool
+
+
+@dataclass
+class TuningReport:
+    levels: tuple[float, ...]
+    rows: list[TuningRow] = field(default_factory=list)
+
+    def to_csv(self) -> str:
+        return csv_text(["window", "error_method", "quantile_method", "variable", "horizon",
+                         "mean_wis", "n", "feasible", *(f"coverage_{tau}" for tau in self.levels)], (
+            [r.window, r.error_method, r.quantile_method, r.variable, r.horizon,
+             "" if r.mean_wis is None else format(r.mean_wis, ".10g"), r.n, int(r.feasible),
+             *("" if tau not in r.coverage else format(r.coverage[tau], ".10g") for tau in self.levels)]
+            for r in self.rows
+        ))
+
+    def to_json(self) -> str:
+        """The text of ``json.dumps({"levels", "rows"}, indent=2, sort_keys=True) + "\\n"``, coverage
+        keyed by ``str(level)``, each row through the ``%`` template of its coverage keys."""
+        text, number, templates = encode_basestring_ascii, _json_number, Table(_tuning_template)
+        rows = []
+        for r in self.rows:
+            template, taus = templates[tuple(r.coverage)]
+            rows.append(template % (*(number(r.coverage[tau]) for tau in taus), text(r.error_method),
+                                    "true" if r.feasible else "false", text(r.horizon),
+                                    "null" if r.mean_wis is None else number(r.mean_wis), r.n,
+                                    text(r.quantile_method), text(r.variable), r.window))
+        return _json_template(("levels", "rows"), "") % (_json_list(map(number, self.levels)), _json_list(rows)) + "\n"
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -181,10 +213,33 @@ def _json_number(value: float) -> str:
     return _NONFINITE.get(text, text)
 
 
-def _json_list(items: Iterable[str]) -> str:
-    """``json.dumps(indent=2)``'s layout of a list of rendered ``items`` one level deep."""
-    body = ",\n    ".join(items)
-    return f"[\n    {body}\n  ]" if body else "[]"
+def _json_list(items: Iterable[str], indent: str = "  ") -> str:
+    """``json.dumps(indent=2)``'s layout, at ``indent``, of a list of rendered ``items``."""
+    body = f",\n{indent}  ".join(items)
+    return f"[\n{indent}  {body}\n{indent}]" if body else "[]"
+
+
+def _json_template(shape: Iterable[str], indent: str) -> str:
+    """``json.dumps(indent=2, sort_keys=True)``'s layout, at ``indent``, of an
+    object of ``shape``'s keys, sorted. A mapping holds each key's ``%`` slot
+    text, or the shape of a nested object; a collection of keys, a slot each."""
+    if not isinstance(shape, Mapping):
+        shape = dict.fromkeys(shape, "%s")
+    inner = indent + "  "
+    items = [f"\n{inner}{encode_basestring_ascii(key).replace('%', '%%')}: "
+             + (value if isinstance(value, str) else _json_template(value, inner))  # type: ignore[arg-type]
+             for key, value in sorted(shape.items())]
+    return "{" + ",".join(items) + f"\n{indent}}}" if items else "{}"
+
+
+def _tuning_template(taus: tuple[float, ...]) -> tuple[str, list[float]]:
+    """A row's template at coverage levels ``taus``, and ``taus`` sorted as strings, as json sorts keys."""
+    ordered = sorted(taus, key=str)
+    shape = {**dict.fromkeys((f.name for f in fields(TuningRow)), "%s"), "coverage": [str(tau) for tau in ordered]}
+    return _json_template(shape, "    "), ordered
+
+
+_REPORT_ROW = _json_template(REPORT_HEADER, "    ")  # a row of ``report.json``, as an item of its ``rows`` list
 
 
 def mean(values: Sequence[float]) -> float:
@@ -326,7 +381,7 @@ def _parses(parse: Callable[[str], object], value: object) -> bool:
 
 # The fields a rebuilt report reads or names, each with its test.
 _ROW_FIELDS: tuple[tuple[str, Callable[[object], bool], str], ...] = (
-    ("country", lambda v: isinstance(v, str) and v != "", "a nonempty string"),
+    ("country", lambda v: isinstance(v, str) and v not in ("", POOLED), f"a nonempty string other than {POOLED!r}"),
     ("variable", lambda v: isinstance(v, str) and v != "", "a nonempty string"),
     ("method", lambda v: isinstance(v, str), "a string"),
     ("horizon", lambda v: isinstance(v, str) and v in _LABELS, "a horizon label"),
@@ -377,44 +432,20 @@ def check_rows(rows: Sequence[object], levels: Sequence[float]) -> None:
             raise ValueError(f"malformed audit row {i}: {problem}")
 
 
-def _layout(slots: Mapping[str, str], indent: str) -> str:
-    """``json.dumps(indent=2)``'s layout, at ``indent``, of an object whose
-    keys, in order, hold the ``%`` template ``slots``."""
-    return "{" + ",".join(f'\n{indent}  "{key}": {slot}' for key, slot in slots.items()) + f"\n{indent}}}"
-
-
-def _by_level(keys: Sequence[str], fields: Sequence[str]) -> str:
-    """The layout of an audit row's per-level object with the sorted level
-    ``keys``, each an object of ``fields``."""
-    if not keys:
-        return "{}"
-    level = _layout(dict.fromkeys(fields, "%s"), "      ")
-    heads = [encode_basestring_ascii(key).replace("%", "%%") for key in keys]
-    return "{\n" + ",\n".join(f"      {head}: {level}" for head in heads) + "\n    }"
-
-
-# ``audit_row``'s keys, and its intervals' and scores' fields, each sorted as
-# ``sort_keys=True`` sorts them.
-_ROW_KEYS = (
-    "country", "forecast_origin", "grid_origin", "horizon", "intervals", "method", "outcome",
-    "pava_blocks", "point", "scores", "skipped_years", "source_years", "target_year",
-    "variable", "wis",
-)
-_INTERVAL_FIELDS = ("degenerate", "excludes_center", "lower", "upper")
+# ``audit_row``'s fields outside its levels, then each level's; ``write_audit`` reads the scores' in this order.
+_AUDIT_FIELDS = ("country", "variable", "method", "horizon", "grid_origin", "forecast_origin", "target_year",
+                 "point", "outcome", "source_years", "skipped_years", "pava_blocks", "wis")
+_INTERVAL_FIELDS = ("lower", "upper", "degenerate", "excludes_center")
 _SCORE_FIELDS = ("dispersion", "overprediction", "total", "underprediction")
-# A row of ``report.json``, as an item of its ``rows`` list.
-_REPORT_ROW = _layout(dict.fromkeys(
-    ("country", "horizon", "level", "method", "metric", "n", "value", "variable"), "%s"), "    ")
 
 
 def _audit_template(shape: tuple[Sequence[str], Sequence[str]]) -> tuple[str, list[str], list[str]]:
     """``write_audit``'s ``%`` template of a row whose (interval, score) level
     keys are ``shape``, and both keys sorted as strings, as json sorts them."""
     interval_keys, score_keys = sorted(shape[0]), sorted(shape[1])
-    slots = dict.fromkeys(_ROW_KEYS, "%s")
-    slots["intervals"] = _by_level(interval_keys, _INTERVAL_FIELDS)
-    slots["scores"] = _by_level(score_keys, _SCORE_FIELDS)
-    return "  " + _layout(slots, "  "), interval_keys, score_keys
+    row = {**dict.fromkeys(_AUDIT_FIELDS, "%s"), "intervals": dict.fromkeys(interval_keys, _INTERVAL_FIELDS),
+           "scores": dict.fromkeys(score_keys, _SCORE_FIELDS)}
+    return "  " + _json_template(row, "  "), interval_keys, score_keys
 
 
 def write_audit(rows: Iterable[dict[str, object]], fh) -> None:
@@ -427,7 +458,7 @@ def write_audit(rows: Iterable[dict[str, object]], fh) -> None:
     bounds, score_fields = itemgetter("lower", "upper"), itemgetter(*_SCORE_FIELDS)
     templates = Table(_audit_template)
     # Each distinct int tuple's text; a row's lists are keyed as tuples.
-    ints = Table(lambda key: "[\n      " + ",\n      ".join(map(int.__repr__, key)) + "\n    ]" if key else "[]")
+    ints = Table(lambda key: _json_list(map(int.__repr__, key), "    "))
     sep = "[\n"
     for row in rows:
         intervals, scores = row["intervals"], row["scores"]

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -213,6 +214,22 @@ class TestReport:
         assert any(row[0] == "pooled" for row in wis)
         assert {row[5] for row in wis if row[0] == "AAA"} == {"9"}
 
+    def test_country_with_a_comma_is_quoted(self, tmp_path, capsys):
+        # Its rows once printed seven fields under the six-field header.
+        data, out = tmp_path / "panel.csv", tmp_path / "out"
+        data.write_text(make_panel(countries=("BBB", "Korea, Rep.")).to_canonical_csv())
+        assert main(["backtest", "--data", str(data), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        got = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert {len(row) for row in got} == {6}
+        wis = [
+            [r["country"], r["variable"], r["horizon"], r["method"], r["value"], r["n"]]
+            for r in csv.DictReader(io.StringIO((out / "report.csv").read_text())) if r["metric"] == "wis"
+        ]
+        assert got[1:] == wis
+        assert any(row[0] == "Korea, Rep." for row in wis)
+
     def test_audit_without_run_json_prints_per_target_cells(self, panel_path, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["backtest", "--data", panel_path, "--out", str(out),
@@ -334,6 +351,21 @@ class TestBadInput:
         self._assert_one_line_error(capsys, "duplicate record: quarterly AAA/gdp 2000 quarter 1 at lines 2 and 3")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--data", "--external-forecasts", "--quarterly-data"])
+    def test_country_named_pooled_exits_one(self, panel_path, tmp_path, capsys, flag):
+        # Its cells merged with the pooled cells, which counted its forecasts twice.
+        paths, _ = self._forecast_inputs(panel_path, tmp_path)
+        paths["--external-forecasts"] = tmp_path / "external.csv"
+        paths["--external-forecasts"].write_bytes(paths["--data"].read_bytes())
+        lines = paths[flag].read_text().splitlines()
+        line = next(i for i, text in enumerate(lines, start=1) if text.startswith("BBB,"))
+        paths[flag].write_text("\n".join(text.replace("BBB,", "pooled,") for text in lines) + "\n")
+        code = main(["backtest", *[arg for name, path in paths.items() for arg in (name, str(path))],
+                     "--methods", "imf,ar,external", "--out", str(tmp_path / "out")])
+        assert code == 1
+        self._assert_one_line_error(capsys, f"line {line}: country name 'pooled' is reserved")
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def _forecast_inputs(panel_path, root):
         """A panel and a quarterly CSV for a two-method forecast, and its flags."""
@@ -434,6 +466,7 @@ class TestBadInput:
         (("country",), 5, "'country' must be a nonempty string"),
         (("target_year",), "2015", "'target_year' must be an integer"),
         (("target_year",), True, "'target_year' must be an integer"),
+        (("country",), "pooled", "'country' must be a nonempty string other than 'pooled', got 'pooled'"),
     ])
     def test_malformed_audit_row_exits_one(self, backtest_out, tmp_path, capsys, path, value, fragment):
         # The run excluded AAA:2015-2016, and row 3 is an AAA row.
@@ -684,3 +717,90 @@ def test_backtest_with_one_config_value_changed_exits_cleanly(fuzz_backtest, dat
         assert err.getvalue() == "" and out.getvalue().startswith("backtest: ")
     if code == 2:
         assert json.loads((cwd / (value if key == "out" else base["out"]) / "gaps.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def fuzz_panel(tmp_path_factory):
+    """A working directory and the lines of a small two-country panel whose
+    backtest at window 2 scores forecasts."""
+    root = tmp_path_factory.mktemp("panel_fuzz")
+    text = make_panel(countries=("AAA", "BBB"), first_year=2006, last_year=2016).to_canonical_csv()
+    return root, text.splitlines()
+
+
+def _mutated_lines(draw, lines):
+    """``lines`` after one drawn row, column or content change; no lines stay no lines."""
+    if not lines:
+        return lines
+    rows = [line.split(",") for line in lines]  # the base panel quotes no cell
+    i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+    k, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    first = draw(st.integers(0, 1))  # 1: a column change below the header only
+    kind = draw(st.sampled_from(["drop row", "duplicate row", "swap rows", "drop column", "duplicate column",
+                                 "swap columns", "empty", "header only", "comma country", "pooled country"]))
+    if kind == "drop row":
+        del rows[i]
+    elif kind == "duplicate row":
+        rows.insert(j, rows[i])
+    elif kind == "swap rows":
+        rows[i], rows[j] = rows[j], rows[i]
+    elif "column" in kind:
+        for row in rows[first:]:
+            if max(k, m) >= len(row):
+                continue
+            if kind == "drop column":
+                del row[k]
+            elif kind == "duplicate column":
+                row.insert(m, row[k])
+            else:
+                row[k], row[m] = row[m], row[k]
+    elif kind == "empty":
+        rows = []
+    elif kind == "header only":
+        rows = rows[:1]
+    else:
+        name = {"comma country": draw(st.sampled_from(['"Korea, Rep."', "Korea, Rep."])),
+                "pooled country": "pooled"}[kind]
+        rows = [[name if cell == "BBB" and draw(st.booleans()) else cell for cell in row] for row in rows]
+    return [",".join(row) for row in rows]
+
+
+@st.composite
+def mutated_panels(draw, lines):
+    """The bytes of ``lines`` after one to three changes, then possibly CRLF
+    line ends, a byte-order mark or a byte that is not UTF-8."""
+    for _ in range(draw(st.integers(1, 3))):
+        lines = _mutated_lines(draw, lines)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    raw = "".join(line + ending for line in lines).encode()
+    encoding = draw(st.sampled_from(["utf-8", "bom", "not utf-8"]))
+    if encoding == "bom":
+        raw = b"\xef\xbb\xbf" + raw
+    elif encoding == "not utf-8":
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc5", b"\x80"])) + raw[at:]
+    return raw
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_backtest_of_a_mutated_panel_exits_cleanly(fuzz_panel, data):
+    """A panel with rows or columns dropped, repeated or swapped, other line
+    ends or bytes, no rows, or a country with a comma or named ``pooled``:
+    ``backtest`` exits 0, 2 with a non-empty gaps manifest, or 1 with one
+    ``error:`` line, and never prints a traceback."""
+    root, lines = fuzz_panel
+    panel, out = root / "panel.csv", root / "out"
+    panel.write_bytes(data.draw(mutated_panels(lines), label="panel"))
+    shutil.rmtree(out, ignore_errors=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["backtest", "--data", str(panel), "--out", str(out), "--window", "2"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stdout.getvalue() + stderr.getvalue()
+    if code == 1:
+        assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
+    else:
+        assert stderr.getvalue() == "" and stdout.getvalue().startswith("backtest: ")
+    if code == 2:
+        assert json.loads((out / "gaps.json").read_text())

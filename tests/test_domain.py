@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from intervalcast.domain import (
     HORIZONS,
+    POOLED,
     Horizon,
     ReleaseDate,
     Season,
@@ -96,6 +97,12 @@ def test_release_date_parse_inverts_str(year, season):
 def test_release_date_parse_names_bad_token(token):
     with pytest.raises(ValueError, match=f"bad release date {token!r}"):
         ReleaseDate.parse(token)
+
+
+def test_target_country_may_not_be_the_pooled_cells_name():
+    with pytest.raises(ValueError, match="country name 'pooled' is reserved"):
+        TargetId(POOLED, "gdp")
+    assert TargetId("Pooled", "gdp").country == "Pooled"  # only the exact name is reserved
 
 
 def test_table_fills_each_key_once():

@@ -217,10 +217,7 @@ def test_provider_matches_scalar_walk_on_vintaged_panels(
     seed, missing_forecast, missing_fall, revised, max_window
 ):
     panel = vintage_panel(seed, missing_forecast, missing_fall, revised)
-    for mode in ("construction", "evaluation"):
-        assert_provider_matches_scalar(
-            panel.forecast, PanelTruthSelector(panel, mode=mode), max_window, 1995, 2005
-        )
+    assert_provider_matches_scalar(panel.forecast, PanelTruthSelector(panel), max_window, 1995, 2005)
 
 
 @settings(max_examples=10, deadline=None)
@@ -262,17 +259,16 @@ def _releases(first: ReleaseDate, last_year: int):
 )
 def test_panel_settled_truth_holds_from_its_release_on(seed, missing_fall, revised, fallback):
     panel = vintage_panel(seed, 0.1, missing_fall, revised)
-    for mode in ("construction", "evaluation"):
-        truths = PanelTruthSelector(panel, fallback, mode=mode)
-        for year in range(1986, 2008):
-            found = truths.settled(TARGET, year)
-            if found is None:
-                assert (TARGET, year, ReleaseDate(year + 1, Season.FALL)) not in panel.realizations
-                continue
-            release, truth = found
-            assert [truths(TARGET, year, at) for at in _releases(release, 2009)] == [
-                truth for _ in _releases(release, 2009)
-            ]
+    truths = PanelTruthSelector(panel, fallback)
+    for year in range(1986, 2008):
+        found = truths.settled(TARGET, year)
+        if found is None:
+            assert (TARGET, year, ReleaseDate(year + 1, Season.FALL)) not in panel.realizations
+            continue
+        release, truth = found
+        assert [truths(TARGET, year, at) for at in _releases(release, 2009)] == [
+            truth for _ in _releases(release, 2009)
+        ]
 
 
 @settings(max_examples=20, deadline=None)
@@ -308,7 +304,7 @@ def reference_observations(config, panel, grid):
         },
         {key: value for key, value in panel.realizations.items() if key[2] <= cutoff},
     )
-    truths = PanelTruthSelector(view, config.truth_rule, mode="construction")
+    truths = PanelTruthSelector(view, config.truth_rule)
     all_windows = sorted({w for w, _, _ in grid})
     targets = view.targets
     variables = sorted({t.variable for t in targets})

@@ -13,6 +13,7 @@ from intervalcast.domain import HORIZONS, Horizon, ReleaseDate, TargetId
 from intervalcast.intervals import GridCell, IntervalGrid, IntervalOffsets, PredictionInterval
 from intervalcast.scoring import (
     POOLED,
+    REPORT_HEADER,
     CellStats,
     EvaluationReport,
     ScoreDecomposition,
@@ -452,7 +453,7 @@ def dumped_report(report):
     """``report.json`` as ``json.dumps`` renders it: the oracle of ``to_json``."""
     payload = {
         "levels": list(report.levels),
-        "rows": [{**row, "value": float(row["value"])} for row in report.to_rows()],
+        "rows": [{**dict(zip(REPORT_HEADER, row)), "value": float(row[6])} for row in report.to_rows()],
         "warnings": list(report.warnings),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
