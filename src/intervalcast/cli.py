@@ -167,16 +167,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Calibrated prediction intervals from past forecast errors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    every, ingest = tuple(_FLAGS), ("--config", "--data", "--out")
+    every, ingest, spans = tuple(_FLAGS), ("--config", "--data", "--out"), ("--train-span", "--holdout-span")
     commands = {}
     # Each command registers only the config flags it reads.
     for name, func, flags, summary in (
         ("ingest", cmd_ingest, ingest, "validate and canonicalize a panel CSV"),
-        ("tune", cmd_tune, (*ingest, "--levels", "--quantile-method", "--train-span", "--holdout-span"),
+        ("tune", cmd_tune, (*ingest, "--levels", "--quantile-method", *spans),
          "tuning-grid evaluation on the training span"),
         ("backtest", cmd_backtest, every, "hold-out evaluation"),
-        ("forecast", cmd_forecast, every, "produce interval files for one origin"),
-        ("report", cmd_report, every, "re-render the report from a stored audit trail"),
+        ("forecast", cmd_forecast, [f for f in every if f not in (*spans, "--exclude")],
+         "produce interval files for one origin"),
+        ("report", cmd_report, ("--config", "--out", "--levels", "--exclude"),
+         "re-render the report from a stored audit trail"),
     ):
         command = commands[name] = sub.add_parser(name, help=summary)
         command.set_defaults(func=func)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -90,7 +89,7 @@ class ForecastPanel:
 
     def settled_truth(self, target: TargetId, year: int) -> Optional[tuple[ReleaseDate, float]]:
         """The fall release after ``year`` and its value, the year's truth at
-        every release from then on in both truth modes; None when absent."""
+        every release from then on under both truth rules; None when absent."""
         return self._settled.get((target, year))
 
     @cached_property
@@ -176,11 +175,11 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
 
 def read_input(path: str, parse: Callable[[TextIO], Any]) -> Any:
     """``parse`` of the UTF-8 file at ``path``, after the byte-order mark a spreadsheet
-    export starts with, if any; text that is not UTF-8 or not JSON names the file."""
+    export starts with, if any; every ``ValueError`` of the read names the file."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         try:
             return parse(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # text that is not UTF-8 or not JSON, and schema and row errors
             raise ValueError(f"{path}: {exc}") from None
 
 
@@ -282,35 +281,23 @@ def select_truth(
     target_year: int,
     as_of: ReleaseDate,
     rule: FallbackRule = FallbackRule.LATEST_AVAILABLE,
-    mode: str = "evaluation",
 ) -> float:
-    """Pick the realization vintage serving as truth for ``target_year``.
-
-    Evaluation mode prefers the fall release of the following year.
-    Construction mode additionally accepts the spring release of the following
-    year for the directly preceding target year (the fall release is not out
-    yet at a spring origin). Either mode falls back to the latest admissible
-    release when configured, and never uses vintages after ``as_of``.
+    """Pick the realization vintage serving as truth for ``target_year``: the
+    fall release of the following year, else, when the rule falls back, the
+    latest release out by ``as_of``. Vintages after ``as_of`` are never used.
     """
-    if mode not in ("evaluation", "construction"):
-        raise ValueError(f"unknown truth mode {mode!r}")
     # The fall release after the target year, once dated at or before
     # ``as_of``, is the truth whatever else is out; read it directly.
     settled = panel.settled_truth(target, target_year)
     if settled is not None and settled[0] <= as_of:
         return settled[1]
-    available = {v: val for v, val in panel.vintages_for(target, target_year) if v <= as_of}
+    available = [pair for pair in panel.vintages_for(target, target_year) if pair[0] <= as_of]
     if not available:
         raise TruthUnavailableError(
             f"truth unavailable for {target.country}/{target.variable} {target_year} as of {as_of}"
         )
-    if mode == "construction":
-        spring_after = ReleaseDate(target_year + 1, Season.SPRING)
-        if target_year == as_of.year - 1 and spring_after in available:
-            return available[spring_after]
     if rule is FallbackRule.LATEST_AVAILABLE:
-        latest = max(available)
-        return available[latest]
+        return available[-1][1]  # the pairs are sorted by vintage
     raise TruthUnavailableError(
         f"truth unavailable for {target.country}/{target.variable} {target_year} "
         f"as of {as_of} (no admissible vintage under the rule)"
@@ -319,7 +306,9 @@ def select_truth(
 
 @dataclass(frozen=True)
 class PanelTruthSelector:
-    """Error-history truths of a forecast panel under a truth rule: ``select_truth``'s construction mode."""
+    """Error-history truths of a forecast panel under a truth rule: ``select_truth``'s,
+    except that a spring origin takes the spring release after the preceding year,
+    whose fall release is not out yet."""
 
     panel: ForecastPanel
     rule: FallbackRule = FallbackRule.LATEST_AVAILABLE
@@ -329,9 +318,11 @@ class PanelTruthSelector:
         if year >= as_of.year:
             return None
         try:
-            return select_truth(self.panel, target, year, as_of, self.rule, mode="construction")
+            return select_truth(self.panel, target, year, as_of, self.rule)
         except TruthUnavailableError:
-            return None
+            # That spring release is out by ``as_of``; under the fallback it is already the latest.
+            spring_after = ReleaseDate(year + 1, Season.SPRING)
+            return self.panel.realizations.get((target, year, spring_after)) if year == as_of.year - 1 else None
 
     def settled(self, target: TargetId, year: int) -> Optional[tuple[ReleaseDate, float]]:
         return self.panel.settled_truth(target, year)

@@ -466,8 +466,7 @@ def run_backtest(
             if cell is None or not h0 <= cell.target_year <= h1:
                 continue
             try:
-                outcome = select_truth(panel, grid.target, cell.target_year, as_of, config.truth_rule,
-                                       mode="evaluation")
+                outcome = select_truth(panel, grid.target, cell.target_year, as_of, config.truth_rule)
             except TruthUnavailableError as exc:
                 gaps.append(str(exc))
                 continue
@@ -521,9 +520,7 @@ def run_tuning(
     for target in view.targets:
         for year in years:
             try:
-                outcome = select_truth(
-                    view, target, year, cutoff, config.truth_rule, mode="evaluation"
-                )
+                outcome = select_truth(view, target, year, cutoff, config.truth_rule)
             except TruthUnavailableError:
                 continue
             for horizon in HORIZONS:

@@ -80,7 +80,7 @@ def index_table(n: int, taus: tuple[float, ...], method: QuantileMethod) -> Inde
             rank = 1.0 + (n - 1) * tau
             j = int(math.floor(rank))
             g = rank - j
-            table.append((n - 1, None) if j >= n else (j - 1, None if g == 0.0 else g))
+            table.append((j - 1, None if g == 0.0 else g))  # rank <= n, and rank == n has g == 0.0
             continue
         # Inverse ECDF: smallest k with k/n >= tau, evaluated with the same
         # floating-point comparison an ECDF scan would use. k/n rounds

@@ -402,6 +402,27 @@ class TestBadInput:
         self._assert_one_line_error(capsys, f"{paths[flag]}: 'utf-8' codec can't decode byte 0xc5")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--data", "--quarterly-data", "--external-forecasts"])
+    @pytest.mark.parametrize("defect, fragment", [
+        ("empty", "schema mismatch: empty file"),
+        ("header", "schema mismatch: expected header"),
+        ("row", "line 2: unparseable value 'x'"),
+    ])
+    def test_csv_error_names_the_file(self, panel_path, tmp_path, capsys, flag, defect, fragment):
+        # Schema and row errors named no file, so a run of three CSVs did not say which was at fault.
+        paths, _ = self._forecast_inputs(panel_path, tmp_path)
+        paths["--external-forecasts"] = tmp_path / "external.csv"
+        paths["--external-forecasts"].write_bytes(paths["--data"].read_bytes())
+        header, first, *rest = paths[flag].read_text().splitlines()
+        lines = {"empty": [], "header": [header.replace("country", "nation"), first, *rest],
+                 "row": [header, first.rsplit(",", 1)[0] + ",x", *rest]}[defect]
+        paths[flag].write_text("".join(line + "\n" for line in lines))
+        code = main(["backtest", *[arg for name, path in paths.items() for arg in (name, str(path))],
+                     "--methods", "imf,ar,external", "--out", str(tmp_path / "out")])
+        assert code == 1
+        self._assert_one_line_error(capsys, f"{paths[flag]}: {fragment}")
+        assert not (tmp_path / "out").exists()
+
     def test_generated_at_of_wrong_type_exits_one(self, panel_path, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"generated_at": ["x"]}))
@@ -508,6 +529,24 @@ class TestBadInput:
             main([command, "--data", panel_path, "--out", str(tmp_path / "out"), *flags])
         assert exc.value.code == 1
         self._assert_one_line_error(capsys, f"unrecognized arguments: {' '.join(flags)}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        *(("report", flag) for flag in ("--data", "--quarterly-data", "--window", "--error-method",
+                                        "--quantile-method", "--train-span", "--holdout-span", "--methods",
+                                        "--external-forecasts")),
+        *(("forecast", flag) for flag in ("--train-span", "--holdout-span", "--exclude")),
+    ])
+    def test_report_and_forecast_reject_a_flag_they_do_not_read(self, panel_path, tmp_path, capsys,
+                                                                command, flag):
+        # Each was accepted and ignored: `report --window 5` printed the stored run's table.
+        argv = {"report": ["report", "--out", str(tmp_path / "out")],
+                "forecast": ["forecast", "--data", panel_path, "--out", str(tmp_path / "out"),
+                             "--origin-year", "2023", "--origin-season", "F"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "AAA:2000"])
+        assert exc.value.code == 1
+        self._assert_one_line_error(capsys, f"unrecognized arguments: {flag} AAA:2000")
         assert not (tmp_path / "out").exists()
 
     def test_help_exits_zero(self, capsys):

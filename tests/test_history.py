@@ -319,10 +319,7 @@ def reference_observations(config, panel, grid):
                         if point is None:
                             continue
                         try:
-                            outcome = select_truth(
-                                view, target, year, cutoff, config.truth_rule,
-                                mode="evaluation",
-                            )
+                            outcome = select_truth(view, target, year, cutoff, config.truth_rule)
                         except TruthUnavailableError:
                             continue
                         try:

@@ -12,6 +12,7 @@ from intervalcast.ingest import (
     DuplicateRecordError,
     FallbackRule,
     ForecastPanel,
+    PanelTruthSelector,
     SchemaMismatchError,
     TruthUnavailableError,
     parse_forecast_panel,
@@ -250,11 +251,13 @@ class TestSelectTruth:
         assert got == 2.0
 
     def test_construction_accepts_spring_for_preceding_year(self):
-        panel = self.make_vintage_panel([(2022, 2023, "S", 1.0)])
-        got = select_truth(
-            panel, TARGET, 2022, ReleaseDate(2023, Season.SPRING), mode="construction"
-        )
-        assert got == 1.0
+        panel = self.make_vintage_panel([(2022, 2023, "S", 1.0), (2021, 2022, "S", 5.0)])
+        for rule in FallbackRule:
+            truths = PanelTruthSelector(panel, rule)
+            assert truths(TARGET, 2022, ReleaseDate(2023, Season.SPRING)) == 1.0
+            # Only for the preceding year: 2021's spring release is not its truth at 2023S.
+            older = truths(TARGET, 2021, ReleaseDate(2023, Season.SPRING))
+            assert older == (5.0 if rule is FallbackRule.LATEST_AVAILABLE else None)
 
     def test_evaluation_does_not_accept_that_spring_without_fallback(self):
         panel = self.make_vintage_panel([(2022, 2023, "S", 1.0)])
@@ -279,8 +282,6 @@ class TestSelectTruth:
         panel = self.make_vintage_panel([(2022, 2023, "F", 2.0)])
         with pytest.raises(TruthUnavailableError):
             select_truth(panel, TARGET, 2021, ReleaseDate(2024, Season.FALL))
-        with pytest.raises(ValueError, match="unknown truth mode"):
-            select_truth(panel, TARGET, 2022, ReleaseDate(2024, Season.FALL), mode="oops")
 
 
 def truth_rule_oracle(vintages, target_year, as_of, mode, fallback):
@@ -301,7 +302,7 @@ def truth_rule_oracle(vintages, target_year, as_of, mode, fallback):
 RELEASES = [ReleaseDate(y, s) for y in range(2008, 2015) for s in Season]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     picks=st.lists(st.sampled_from([r for r in RELEASES if r.year >= 2010]), unique=True),
     other_year=st.lists(st.sampled_from([r for r in RELEASES if r.year >= 2011]), unique=True),
@@ -310,18 +311,23 @@ RELEASES = [ReleaseDate(y, s) for y in range(2008, 2015) for s in Season]
     fallback=st.sampled_from(list(FallbackRule)),
 )
 def test_select_truth_follows_documented_rule(picks, other_year, as_of, mode, fallback):
+    """Evaluation truths come from ``select_truth``, construction truths from
+    ``PanelTruthSelector``, which gives none for a year that has not ended."""
     vintages = {v: float(i) for i, v in enumerate(picks)}
     realizations = {(TARGET, 2010, vintage): value for vintage, value in vintages.items()}
     for vintage in other_year:  # another target year's vintages must not leak in
         realizations[(TARGET, 2011, vintage)] = -1.0
     panel = ForecastPanel({}, realizations)
     expected = truth_rule_oracle(vintages, 2010, as_of, mode, fallback)
-    rule = fallback
-    if expected is None:
+    if mode == "construction":
+        assert PanelTruthSelector(panel, fallback)(TARGET, 2010, as_of) == (
+            None if 2010 >= as_of.year else expected
+        )
+    elif expected is None:
         with pytest.raises(TruthUnavailableError):
-            select_truth(panel, TARGET, 2010, as_of, rule, mode=mode)
+            select_truth(panel, TARGET, 2010, as_of, fallback)
     else:
-        assert select_truth(panel, TARGET, 2010, as_of, rule, mode=mode) == expected
+        assert select_truth(panel, TARGET, 2010, as_of, fallback) == expected
 
 
 QHEADER = "country,variable,year,quarter,value"

@@ -208,3 +208,29 @@ def test_index_table_covers_every_step_up_to_eighty():
 def test_index_table_rejects_levels_outside_the_unit_interval(tau):
     with pytest.raises(ValueError, match="outside"):
         index_table(5, (0.5, tau), QuantileMethod.LINEAR)
+
+
+def linear_entry_with_last_arm(n, tau):
+    """The linear read's table entry as it was computed with a separate
+    ``j >= n`` arm, kept as the oracle of the general arm alone."""
+    rank = 1.0 + (n - 1) * tau
+    j = int(math.floor(rank))
+    g = rank - j
+    return (n - 1, None) if j >= n else (j - 1, None if g == 0.0 else g)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_linear_rank_that_rounds_to_n_reads_the_last_sample(n):
+    tau = 1 - 2**-53
+    assert 1.0 + (n - 1) * tau == n  # the rank rounds up to n, with g == 0.0
+    assert index_table(n, (tau,), QuantileMethod.LINEAR) == ((n - 1, None),)
+
+
+def test_linear_table_equals_the_one_with_a_last_sample_arm():
+    ends = {5e-324, 2**-53, 2**-52, 1e-300, 1 - 2**-53, 1 - 2**-52, 1 - 1e-16}
+    for n in range(1, 201):
+        steps = {k / (n - 1) for k in range(n)} if n > 1 else set()
+        near = {t for s in steps | ends for t in (s, math.nextafter(s, 0.0), math.nextafter(s, 1.0))}
+        taus = tuple(sorted(t for t in near if 0.0 < t < 1.0))
+        want = tuple(linear_entry_with_last_arm(n, tau) for tau in taus)
+        assert index_table(n, taus, QuantileMethod.LINEAR) == want

@@ -24,6 +24,7 @@ from intervalcast.scoring import (
     coverage_rate,
     interval_score,
     mean,
+    score_parts,
     weighted_interval_score,
     wis_of_totals,
     write_audit,
@@ -57,6 +58,14 @@ class TestIntervalScore:
     def test_inverted_interval_rejected(self):
         with pytest.raises(ValueError):
             interval_score(3.0, 1.0, 2.0, 0.8)
+
+    @pytest.mark.parametrize("score", [interval_score, score_parts])
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_level_at_either_end_of_the_open_interval_rejected(self, score, tau):
+        # At 0.0 the penalty 2 / (1 - tau) is finite and at 1.0 it divides by
+        # zero: only the level check turns both into a ValueError.
+        with pytest.raises(ValueError, match="outside"):
+            score(1.0, 3.0, 0.0, tau)
 
     def test_decomposition_identity_and_exclusivity(self, rng):
         for _ in range(500):
