@@ -71,12 +71,11 @@ def _load_panel(path: Optional[str]) -> ForecastPanel:
     return read_input(path, lambda fh: parse_forecast_panel(fh, source=path))
 
 
-def _load_quarterly(path: Optional[str]):
-    return read_input(path, parse_quarterly) if path else None
-
-
-def _load_external(path: Optional[str]) -> Optional[ForecastPanel]:
-    return _load_panel(path) if path else None
+def _inputs(config: RunConfig) -> tuple[ForecastPanel, Optional[dict], Optional[ForecastPanel]]:
+    """The panel, quarterly series and external panel that ``config`` names, read in that order."""
+    panel = _load_panel(config.data)
+    quarterly = read_input(config.quarterly_data, parse_quarterly) if config.quarterly_data else None
+    return panel, quarterly, _load_panel(config.external_forecasts) if config.external_forecasts else None
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -112,9 +111,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def cmd_backtest(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    panel = _load_panel(config.data)
-    quarterly = _load_quarterly(config.quarterly_data)
-    external = _load_external(config.external_forecasts)
+    panel, quarterly, external = _inputs(config)
     result = run_backtest(config, panel, quarterly=quarterly, external=external)
     paths = write_backtest_outputs(result, config.out)
     print(f"backtest: {len(result.audit)} scored forecasts, outputs: {', '.join(paths)}")
@@ -124,9 +121,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 def cmd_forecast(args: argparse.Namespace) -> int:
     origin = ReleaseDate(args.origin_year, Season.parse(args.origin_season))
     config = _config_from_args(args)
-    panel = _load_panel(config.data)
-    quarterly = _load_quarterly(config.quarterly_data)
-    external = _load_external(config.external_forecasts)
+    panel, quarterly, external = _inputs(config)
     text, gaps = produce_forecast(config, panel, origin, quarterly=quarterly, external=external)
     out_path, _ = write_outputs(config.out, [
         (f"intervals_{origin}.csv", text), (f"gaps_{origin}.json", gaps_json(gaps)),

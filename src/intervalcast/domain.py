@@ -78,8 +78,9 @@ class ReleaseDate:
     def parse(cls, token: str) -> "ReleaseDate":
         """The release date written as ``str(date)``, e.g. '2012S'."""
         try:
-            return cls(int(token[:-1]), Season.parse(token[-1]))
-        except (TypeError, ValueError, LookupError):  # a dict's slice lookup raises KeyError from 3.12
+            text = token.strip()
+            return cls(int(text[:-1]), Season.parse(text[-1]))
+        except (AttributeError, ValueError, LookupError):  # a non-string has no strip; an empty one no last character
             raise ValueError(f"bad release date {token!r}, expected e.g. 2012S") from None
 
 
@@ -126,10 +127,7 @@ def horizon_of(origin: ReleaseDate, target_year: int) -> Horizon:
         raise UnsupportedHorizonError(
             f"unsupported horizon: origin {origin} cannot target year {target_year}"
         )
-    for h in HORIZONS:
-        if h.season is origin.season and h.year_offset == offset:
-            return h
-    raise AssertionError("unreachable")  # pragma: no cover
+    return Horizon((origin.season, offset))
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,6 @@ class TruthSelector(Protocol):
 class InsufficientHistoryError(ValueError):
     """Fewer eligible past years than the requested window length."""
 
-    def __init__(self, message: str, found: int, required: int):
-        super().__init__(message)
-        self.found = found
-        self.required = required
-
 
 class ErrorMethod(Token):
     ABSOLUTE = "absolute"
@@ -81,9 +76,6 @@ class ErrorSet:
             raise ValueError("source years must precede the anchor year")
         if self.method is ErrorMethod.ABSOLUTE and any(map(gt, repeat(0), self.errors)):
             raise ValueError("absolute error sets must be nonnegative")
-
-    def __len__(self) -> int:
-        return len(self.errors)
 
 
 def year_error(
@@ -146,9 +138,7 @@ def build_error_set(
     if len(errors) < window:
         raise InsufficientHistoryError(
             f"insufficient history for {target} {horizon.label} anchor {anchor_year}: "
-            f"found {len(errors)} of {window} eligible years",
-            found=len(errors),
-            required=window,
+            f"found {len(errors)} of {window} eligible years"
         )
     return ErrorSet(
         target=target,

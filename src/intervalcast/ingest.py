@@ -76,16 +76,12 @@ class ForecastPanel:
     skipped: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self) -> None:
-        # The hot path reads the private copies: a proxy lookup costs twice a dict's.
-        forecasts, realizations = dict(self.forecasts), dict(self.realizations)
-        object.__setattr__(self, "_forecasts", forecasts)
-        object.__setattr__(self, "_realizations", realizations)
-        object.__setattr__(self, "forecasts", MappingProxyType(forecasts))
-        object.__setattr__(self, "realizations", MappingProxyType(realizations))
+        object.__setattr__(self, "forecasts", MappingProxyType(dict(self.forecasts)))
+        object.__setattr__(self, "realizations", MappingProxyType(dict(self.realizations)))
         object.__setattr__(self, "skipped", tuple(self.skipped))
 
     def forecast(self, target: TargetId, origin: ReleaseDate, target_year: int) -> Optional[float]:
-        return self._forecasts.get((target, origin, target_year))
+        return self.forecasts.get((target, origin, target_year))
 
     def settled_truth(self, target: TargetId, year: int) -> Optional[tuple[ReleaseDate, float]]:
         """The fall release after ``year`` and its value, the year's truth at
@@ -95,7 +91,7 @@ class ForecastPanel:
     @cached_property
     def _settled(self) -> dict[tuple[TargetId, int], tuple[ReleaseDate, float]]:
         """``settled_truth`` of each (target, year) that has one, indexed once."""
-        return {(t, y): (v, value) for (t, y, v), value in self._realizations.items()
+        return {(t, y): (v, value) for (t, y, v), value in self.realizations.items()
                 if v.season is Season.FALL and v.year == y + 1}
 
     def vintages_for(self, target: TargetId, target_year: int) -> list[tuple[ReleaseDate, float]]:
@@ -104,14 +100,14 @@ class ForecastPanel:
     @cached_property
     def _vintage_index(self) -> dict[tuple[TargetId, int], tuple[tuple[ReleaseDate, float], ...]]:
         index: dict[tuple[TargetId, int], list[tuple[ReleaseDate, float]]] = {}
-        for (t, y, vintage), value in self._realizations.items():
+        for (t, y, vintage), value in self.realizations.items():
             index.setdefault((t, y), []).append((vintage, value))
         return {key: tuple(sorted(pairs)) for key, pairs in index.items()}
 
     @cached_property
     def targets(self) -> tuple[TargetId, ...]:
         """The panel's forecast targets, sorted by country, then variable."""
-        return tuple(sorted({t for (t, _, _) in self._forecasts}, key=lambda t: (t.country, t.variable)))
+        return tuple(sorted({t for (t, _, _) in self.forecasts}, key=lambda t: (t.country, t.variable)))
 
     @cached_property
     def _grids(self) -> dict[tuple, dict]:
@@ -132,7 +128,7 @@ class ForecastPanel:
         return sorted({t.variable for t in self.targets})
 
     def max_vintage(self) -> Optional[ReleaseDate]:
-        vintages = [v for (_, _, v) in self._realizations]
+        vintages = [v for (_, _, v) in self.realizations]
         return max(vintages) if vintages else None
 
     def until_vintage(self, cutoff: ReleaseDate, last_origin_year: int) -> "ForecastPanel":
@@ -141,8 +137,8 @@ class ForecastPanel:
         tuning's view, which holds no hold-out data."""
         last_origin = min(cutoff, ReleaseDate(last_origin_year, Season.FALL))
         return ForecastPanel(
-            {key: value for key, value in self._forecasts.items() if key[1] <= last_origin},
-            {key: value for key, value in self._realizations.items() if key[2] <= cutoff},
+            {key: value for key, value in self.forecasts.items() if key[1] <= last_origin},
+            {key: value for key, value in self.realizations.items() if key[2] <= cutoff},
             source=f"{self.source} (<= {cutoff})",
         )
 
@@ -150,11 +146,11 @@ class ForecastPanel:
         """Stable serialization: sorted rows, fixed numeric formatting."""
         forecast_rows = sorted(
             (t.country, t.variable, origin.year, origin.season.value, year, value)
-            for (t, origin, year), value in self._forecasts.items()
+            for (t, origin, year), value in self.forecasts.items()
         )
         realization_rows = sorted(
             (t.country, t.variable, year, vintage.year, vintage.season.value, value)
-            for (t, year, vintage), value in self._realizations.items()
+            for (t, year, vintage), value in self.realizations.items()
         )
         return csv_text(FORECAST_HEADER, chain(
             ([country, variable, "forecast", oy, os_, ty, "NA", "NA", format(value, ".10g")]
@@ -362,14 +358,10 @@ def parse_quarterly(
             what = f"quarterly {country}/{variable} {year} quarter {quarter}"
             raise DuplicateRecordError(f"duplicate record: {what} at lines {first} and {line}")
         obs[year, quarter] = value
-    out: dict[TargetId, QuarterlySeries] = {}
-    for target, obs in levels.values():
-        if target.variable in index_set:
-            growth = _log_growth(obs)
-        else:
-            growth = dict(obs)
-        out[target] = QuarterlySeries(target=target, growth=growth)
-    return out
+    return {
+        target: QuarterlySeries(target=target, growth=_log_growth(obs) if target.variable in index_set else obs)
+        for target, obs in levels.values()
+    }
 
 
 def _log_growth(levels: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:

@@ -76,7 +76,7 @@ def offsets_for(
 ) -> dict[float, IntervalOffsets]:
     """Offsets keyed by level, read from one sorted copy of the error window.
 
-    Absolute errors give symmetric offsets +-q_tau; directional errors give
+    Absolute errors give the offsets -q_tau and +q_tau; directional errors give
     the (1-tau)/2 and (1+tau)/2 quantiles of the signed errors.
     """
     qs = empirical_quantiles(errs.errors, offset_taus(levels, errs.method), method)
@@ -139,23 +139,21 @@ def pool_level_rows(
     """Pool-adjacent-violators over positions (horizons), jointly at all levels.
 
     ``lowers[p]`` and ``uppers[p]`` hold position p's offsets, one per level.
-    A violation at any level (an upper mean above the next block's or, unless
-    all offsets are symmetric, a lower mean below it) merges the two blocks at
-    every level and on both sides. A block keeps running sums per level, added
-    left to right from 0, so a merge adds only the absorbed block's rows. Only
-    the merged block and its left neighbour can newly violate, so the scan
-    steps back one block rather than to the front (Best & Chakravarti 1990).
-    Returns each position's block mean (-0.0 becomes 0.0) as one tuple
-    shared by the block's members, and the block sizes."""
-    symmetric = all(lo == -up for lrow, urow in zip(lowers, uppers) for lo, up in zip(lrow, urow))
+    A violation at any level (an upper mean above the next block's or a lower
+    mean below it) merges the two blocks at every level and on both sides. A
+    block keeps running sums per level, added left to right from 0, so a
+    merge adds only the absorbed block's rows. Only the merged block and its
+    left neighbour can newly violate, so the scan steps back one block rather
+    than to the front (Best & Chakravarti 1990). Returns each position's
+    block mean (-0.0 becomes 0.0) as one tuple shared by the block's members,
+    and the block sizes."""
     blocks = [[p] for p in range(len(uppers))]
     # A lone position's sums and means: 0 + x.
     lo_sums, up_sums = ([[0 + x for x in row] for row in rows] for rows in (lowers, uppers))
     lo_means, up_means = lo_sums[:], up_sums[:]
     r = 0
     while r < len(blocks) - 1:
-        wider = any(map(gt, up_means[r], up_means[r + 1]))
-        if wider or (not symmetric and any(map(lt, lo_means[r], lo_means[r + 1]))):
+        if any(map(gt, up_means[r], up_means[r + 1])) or any(map(lt, lo_means[r], lo_means[r + 1])):
             lo, up = lo_sums[r], up_sums[r]
             for p in blocks[r + 1]:
                 lo, up = list(map(add, lo, lowers[p])), list(map(add, up, uppers[p]))

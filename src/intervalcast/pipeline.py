@@ -201,9 +201,10 @@ def _config_value(key: str, value: object) -> object:
     text is parsed and arrays become tuples; any other value reaches
     ``RunConfig``'s type checks as given."""
     if key in ("levels", "methods", "exclude") and isinstance(value, str):
-        if "" in value.split(","):
+        items = [item.strip() for item in value.split(",")]
+        if "" in items:
             raise ValueError(f"empty item in comma list {value!r}")
-        value = value.split(",")
+        value = items
     if isinstance(value, list):
         value = tuple(value)
     if key == "levels" and isinstance(value, tuple):
@@ -255,7 +256,6 @@ class ErrorHistory:
     fills capture locals, not ``self``, so no cycle keeps a history alive."""
 
     def __init__(self, forecasts: ForecastLookup, truths: TruthSelector, max_window: int) -> None:
-        self.forecasts = forecasts
         self.max_window = max_window
         points = self.points = Table(lambda key: Table(
             lambda year: forecasts(key[0], key[1].origin_for(year), year)))

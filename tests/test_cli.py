@@ -488,6 +488,7 @@ class TestBadInput:
         (("target_year",), "2015", "'target_year' must be an integer"),
         (("target_year",), True, "'target_year' must be an integer"),
         (("country",), "pooled", "'country' must be a nonempty string other than 'pooled', got 'pooled'"),
+        (("forecast_origin",), 5, "'forecast_origin' must be a release date like 2012S"),
     ])
     def test_malformed_audit_row_exits_one(self, backtest_out, tmp_path, capsys, path, value, fragment):
         # The run excluded AAA:2015-2016, and row 3 is an AAA row.
@@ -588,6 +589,8 @@ class TestBadInput:
     @pytest.mark.parametrize("key, text", [
         ("levels", "0.5,,0.8"), ("levels", ",0.5"), ("methods", "imf,"),
         ("exclude", "AAA:2013-2014,"), ("exclude", ","),
+        # A blank item is empty once stripped: this one failed as "unknown method ' '".
+        ("methods", "imf, ,ar"), ("levels", "0.5, "),
     ])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_comma_list_with_an_empty_item_exits_one(self, panel_path, tmp_path, capsys, key, text, source):
@@ -651,6 +654,28 @@ class TestInputsReadAlike:
                                       "invalid literal for int() with base 10: 'x'\n")
         else:
             assert runs[0][0] in (0, 2) and runs[0][2]
+
+    # Each exited 1: "unknown method ' external'" and "bad release date '2023F '".
+    @pytest.mark.parametrize("key, text, plain, source", [
+        ("methods", "imf, external", "imf,external", "flag"),
+        ("methods", " imf ,external ", "imf,external", "config"),
+        ("eval_as_of", "2023F ", "2023F", "config"),
+        ("eval_as_of", " 2023 F ", "2023F", "config"),
+    ])
+    def test_text_reads_as_without_surrounding_spaces(self, panel_path, tmp_path, capsys, key, text, plain, source):
+        runs = []
+        for name, value in (("spaced", text), ("plain", plain)):
+            argv = ["backtest", "--data", panel_path, "--out", str(tmp_path / name),
+                    "--external-forecasts", panel_path]
+            if source == "flag":
+                argv += [f"--{key}", value]
+            else:
+                (tmp_path / "config.json").write_text(json.dumps({key: value}))
+                argv += ["--config", str(tmp_path / "config.json")]
+            code, _, err, files = self._run(capsys, argv, tmp_path / name)
+            runs.append((code, err, files.get("report.csv"), files.get("audit.json")))
+        assert runs[0] == runs[1]
+        assert runs[0][0] in (0, 2) and runs[0][1] == "" and runs[0][2]
 
 
 def key_paths(obj, prefix=()):
@@ -758,22 +783,55 @@ def test_backtest_with_one_config_value_changed_exits_cleanly(fuzz_backtest, dat
         assert json.loads((cwd / (value if key == "out" else base["out"]) / "gaps.json").read_text())
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_report_beside_a_changed_run_json_exits_cleanly(backtest_out, data):
+    """The backtest's ``run.json`` with one key set to each JSON type, or a
+    top level that is not an object: ``report --audit`` exits 0 with nothing
+    on stderr, or 1 with one ``error:`` line, and never prints a traceback."""
+    run = json.loads((backtest_out / "run.json").read_text())
+    key = data.draw(st.sampled_from([*sorted(run), None]), label="key (None: the top level)")
+    value = data.draw(config_values if key else config_values.filter(lambda v: not isinstance(v, dict)),
+                      label="value")
+    dest = backtest_out.parent / "run_fuzz"
+    dest.mkdir(exist_ok=True)
+    (dest / "audit.json").write_bytes((backtest_out / "audit.json").read_bytes())
+    (dest / "run.json").write_text(json.dumps({**run, key: value} if key else value).replace("Infinity", "1e400"))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["report", "--audit", str(dest / "audit.json")])
+    assert code in (0, 1)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        assert out.getvalue().startswith("country,variable,horizon,method,mean_wis,n\n")
+
+
 @pytest.fixture(scope="module")
 def fuzz_panel(tmp_path_factory):
-    """A working directory and the lines of a small two-country panel whose
-    backtest at window 2 scores forecasts."""
+    """A working directory and the lines of each input of a small two-country
+    backtest at window 2 that scores forecasts: the panel, a quarterly CSV
+    and an external-forecast panel."""
     root = tmp_path_factory.mktemp("panel_fuzz")
-    text = make_panel(countries=("AAA", "BBB"), first_year=2006, last_year=2016).to_canonical_csv()
-    return root, text.splitlines()
+    panel, external = (make_panel(countries=("AAA", "BBB"), first_year=2006, last_year=2016, seed=seed)
+                       for seed in (0, 1))
+    rng = np.random.default_rng(0)
+    quarters = [f"{country},gdp,{year},{q},{rng.normal(0.5, 0.4):.4f}"
+                for country in ("AAA", "BBB") for year in range(2000, 2017) for q in range(1, 5)]
+    return root, {"panel": panel.to_canonical_csv().splitlines(),
+                  "quarterly": ["country,variable,year,quarter,value", *quarters],
+                  "external": external.to_canonical_csv().splitlines()}
 
 
 def _mutated_lines(draw, lines):
     """``lines`` after one drawn row, column or content change; no lines stay no lines."""
     if not lines:
         return lines
-    rows = [line.split(",") for line in lines]  # the base panel quotes no cell
+    rows = [line.split(",") for line in lines]  # the base inputs quote no cell
     i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
-    k, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    k, m = draw(st.integers(0, len(rows[0]) - 1)), draw(st.integers(0, len(rows[0]) - 1))
     first = draw(st.integers(0, 1))  # 1: a column change below the header only
     kind = draw(st.sampled_from(["drop row", "duplicate row", "swap rows", "drop column", "duplicate column",
                                  "swap columns", "empty", "header only", "comma country", "pooled country"]))
@@ -821,20 +879,26 @@ def mutated_panels(draw, lines):
     return raw
 
 
+@pytest.mark.parametrize("mutated", ["panel", "quarterly", "external"])
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_backtest_of_a_mutated_panel_exits_cleanly(fuzz_panel, data):
-    """A panel with rows or columns dropped, repeated or swapped, other line
-    ends or bytes, no rows, or a country with a comma or named ``pooled``:
-    ``backtest`` exits 0, 2 with a non-empty gaps manifest, or 1 with one
-    ``error:`` line, and never prints a traceback."""
-    root, lines = fuzz_panel
-    panel, out = root / "panel.csv", root / "out"
-    panel.write_bytes(data.draw(mutated_panels(lines), label="panel"))
+def test_backtest_of_a_mutated_panel_exits_cleanly(fuzz_panel, mutated, data):
+    """One input (the panel, the quarterly CSV or the external panel) with
+    rows or columns dropped, repeated or swapped, other line ends or bytes,
+    no rows, or a country with a comma or named ``pooled``: ``backtest``
+    exits 0, 2 with a non-empty gaps manifest, or 1 with one ``error:``
+    line, and never prints a traceback."""
+    root, inputs = fuzz_panel
+    out = root / "out"
+    (root / "panel.csv").write_text("".join(line + "\n" for line in inputs["panel"]))
+    (root / f"{mutated}.csv").write_bytes(data.draw(mutated_panels(inputs[mutated]), label=mutated))
+    reads = {"panel": [], "quarterly": ["--methods", "imf,ar", "--quarterly-data", str(root / "quarterly.csv")],
+             "external": ["--methods", "imf,external", "--external-forecasts", str(root / "external.csv")]}
     shutil.rmtree(out, ignore_errors=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
-        code = main(["backtest", "--data", str(panel), "--out", str(out), "--window", "2"])
+        code = main(["backtest", "--data", str(root / "panel.csv"), "--out", str(out), "--window", "2",
+                     *reads[mutated]])
     assert code in (0, 1, 2)
     assert "Traceback" not in stdout.getvalue() + stderr.getvalue()
     if code == 1:

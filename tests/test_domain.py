@@ -90,10 +90,10 @@ def test_validate_levels():
 @given(st.integers(-10**6, 10**6), st.sampled_from(Season))
 def test_release_date_parse_inverts_str(year, season):
     date = ReleaseDate(year, season)
-    assert ReleaseDate.parse(str(date)) == date
+    assert ReleaseDate.parse(str(date)) == ReleaseDate.parse(f" {date} ") == date
 
 
-@pytest.mark.parametrize("token", ["2023", "2023X", "", "S", 2023, {"a": 1}])
+@pytest.mark.parametrize("token", ["2023", "2023X", "", "S", 2023, {"a": 1}, " "])
 def test_release_date_parse_names_bad_token(token):
     with pytest.raises(ValueError, match=f"bad release date {token!r}"):
         ReleaseDate.parse(token)

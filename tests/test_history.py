@@ -85,8 +85,7 @@ def scalar_error_set(
     if len(errors) < window:
         raise InsufficientHistoryError(
             f"insufficient history for {target} {horizon.label} anchor {anchor_year}: "
-            f"found {len(errors)} of {window} eligible years",
-            len(errors), window,
+            f"found {len(errors)} of {window} eligible years"
         )
     return ErrorSet(target, horizon, anchor_year, method, tuple(errors),
                     tuple(source_years), tuple(skipped))

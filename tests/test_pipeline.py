@@ -105,6 +105,25 @@ class TestConfig:
         assert config.eval_as_of == ReleaseDate(2024, Season.SPRING)
         assert config.out == "results"
 
+    @pytest.mark.parametrize("source", ["json", "override"])
+    def test_load_config_ignores_spaces_around_list_items_and_release_dates(self, tmp_path, source):
+        # Each raised: "unknown method ' ar'" and "bad release date '2023F '".
+        raw = {"methods": " imf, ar ", "eval_as_of": "2023F ", "levels": "0.5 ,0.9"}
+        if source == "json":
+            (tmp_path / "config.json").write_text(json.dumps(raw))
+            config = load_config(str(tmp_path / "config.json"))
+        else:
+            config = load_config(None, **raw)
+        assert config.methods == ("imf", "ar")
+        assert config.eval_as_of == ReleaseDate(2023, Season.FALL)
+        assert config.levels == (0.5, 0.9)
+        with pytest.raises(ValueError, match=r"^bad config value for methods: empty item in comma list 'imf, ,ar'$"):
+            load_config(None, methods="imf, ,ar")
+
+    def test_load_config_keeps_spaces_of_paths_and_tags(self):
+        config = load_config(None, data=" panel.csv ", out=" out", generated_at="tag ")
+        assert (config.data, config.out, config.generated_at) == (" panel.csv ", " out", "tag ")
+
     def test_load_config_defaults(self):
         config = load_config()
         assert config.window == 11
@@ -804,11 +823,16 @@ class TestGridMemo:
         calls = []
         build = pipeline.build_grid
 
+        class LabelledHistory(pipeline.ErrorHistory):
+            def __init__(self, forecasts, truths, max_window):
+                super().__init__(forecasts, truths, max_window)
+                self.method = "imf" if forecasts == panel.forecast else "ar"
+
         def counted(history, target, origin, config):
-            method = "imf" if history.forecasts == panel.forecast else "ar"
-            calls.append((method, target, origin))
+            calls.append((history.method, target, origin))
             return build(history, target, origin, config)
 
+        monkeypatch.setattr(pipeline, "ErrorHistory", LabelledHistory)
         monkeypatch.setattr(pipeline, "build_grid", counted)
         run_backtest(config, panel, quarterly=ar_quarterly(panel.targets, seed=9))
         h0, h1 = config.holdout_span
